@@ -15,7 +15,15 @@ from typing import Optional
 
 from .models import AppConfig
 from .robust import robustify_app
-from .dp import Grid, forward_primary, forward_secondary, optimize_primary, optimize_secondary
+from .dp import (
+    Grid,
+    _secondary_operators,
+    _stage_operators,
+    forward_primary,
+    forward_secondary,
+    optimize_primary,
+    optimize_secondary,
+)
 
 
 class BracketFailureError(ValueError):
@@ -102,13 +110,14 @@ class LambdaSolution:
         }
 
 
-def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages):
-    pr = optimize_primary(app, lam, grid)
-    _, e1, _ = forward_primary(pr, app)
+def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, ops=(None, None)):
+    ops1, ops2 = ops
+    pr = optimize_primary(app, lam, grid, _ops=ops1)
+    _, e1, _ = forward_primary(pr, app, _ops=ops1)
     e2 = 0.0
     if app2 is not None:
-        sr = optimize_secondary(app2, shared_stages, pr, lam)
-        _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior)
+        sr = optimize_secondary(app2, shared_stages, pr, lam, _ops=ops2)
+        _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior, _ops=ops2)
     return e1, e2
 
 
@@ -128,6 +137,10 @@ def solve_lambda(
     achieved consumption is within the relative tolerance of the target or
     the iteration cap is reached, and returns the cheapest multiplier seen
     whose consumption is within budget.
+
+    The stage models do not depend on the multiplier, so each stage's
+    belief-transition operator is built once here and reused by every
+    solve of the search; it is dropped when the search returns.
     """
     app = robustify_app(primary_app)
     app2 = None
@@ -143,14 +156,18 @@ def solve_lambda(
             stages=tuple(shared_stages),
         )).stages)
 
+    ops = (
+        _stage_operators(grid, app.stages),
+        None if app2 is None else _secondary_operators(grid, app2, shared),
+    )
     target = spec.budget_mj - spec.baseline_mj
     lo, hi = spec.lambda_bracket
 
-    e1, e2 = _consumption(lo, app, grid, app2, shared)
+    e1, e2 = _consumption(lo, app, grid, app2, shared, ops)
     if e1 + e2 <= target:
         return LambdaSolution(lo, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, True)
 
-    e1_hi, e2_hi = _consumption(hi, app, grid, app2, shared)
+    e1_hi, e2_hi = _consumption(hi, app, grid, app2, shared, ops)
     if e1_hi + e2_hi > target:
         raise BracketFailureError(
             f"consumption {e1_hi + e2_hi:.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
@@ -164,7 +181,7 @@ def solve_lambda(
         if hi - lo <= 1e-12 * width0:
             break
         mid = 0.5 * (lo + hi)
-        e1_m, e2_m = _consumption(mid, app, grid, app2, shared)
+        e1_m, e2_m = _consumption(mid, app, grid, app2, shared, ops)
         if e1_m + e2_m <= target:
             hi = mid
             best = (mid, e1_m, e2_m)

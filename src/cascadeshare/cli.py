@@ -154,6 +154,26 @@ def load_config(path: str) -> SystemConfig:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
+def _run_config(args) -> SystemConfig:
+    """The command's config, with a `--budget-mJ` override installed as its budget.
+
+    The override replaces the config's multiplier or budget amount and
+    keeps its baseline, bracket and tolerance, so every command solves the
+    budget itself: `budget.json` reports the solution and `twin` solves one
+    multiplier per prior.
+    """
+    cfg = load_config(args.config)
+    if args.budget_mj is None:
+        return cfg
+    if args.lam is not None:
+        raise ConfigError("give either --lambda or --budget-mJ, not both")
+    if cfg.budget is not None:
+        spec = replace(cfg.budget, budget_mj=float(args.budget_mj))
+    else:
+        spec = BudgetSpec(budget_mj=float(args.budget_mj), baseline_mj=cfg.baseline_mj)
+    return replace(cfg, lam=None, budget=spec)
+
+
 @dataclass
 class Solved:
     lam: float
@@ -293,7 +313,7 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     solved = solve_system(cfg, args.lam, args.grid)
     emit_optimize_artifacts(solved, Path(args.out_dir))
     print(json.dumps({"status": "ok", "lambda": solved.lam, "out_dir": args.out_dir}))
@@ -301,7 +321,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     solved = solve_system(cfg, args.lam, args.grid)
     trials = args.trials if args.trials else cfg.trials
     seed = args.seed if args.seed is not None else cfg.seed
@@ -342,7 +362,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_twin(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     priors = [float(p) for p in args.priors.split(",")] if args.priors else (cfg.priors or [cfg.primary.prior])
     grid = Grid.uniform(int(args.grid) if args.grid else cfg.grid_m)
     lam = args.lam if args.lam is not None else cfg.lam
@@ -383,7 +403,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     solved = solve_system(cfg, args.lam, args.grid)
     doc = {"lambda": solved.lam}
     doc["cascade_optimality_primary"] = cascade_optimality_primary(solved.primary, solved.app1)
@@ -414,15 +434,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     priors = [float(p) for p in args.priors.split(",")] if args.priors else (cfg.priors or [cfg.primary.prior])
     rows = []
     for p in priors:
-        cfg_p = SystemConfig(
+        cfg_p = replace(
+            cfg,
             primary=replace(cfg.primary, prior=p),
             secondary=replace(cfg.secondary, prior=p) if cfg.secondary else None,
-            shared=cfg.shared, grid_m=cfg.grid_m, lam=cfg.lam, budget=cfg.budget,
-            coupling=cfg.coupling, seed=cfg.seed, trials=cfg.trials, priors=cfg.priors,
         )
         solved = solve_system(cfg_p, args.lam, args.grid)
         b1, e1, _ = forward_primary(solved.primary, solved.app1)
@@ -511,8 +530,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget_mj", None) is not None:
-            return _run_with_budget_override(args)
         return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config_error", exc)
@@ -524,21 +541,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_BRACKET, "bracket_failure", exc)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config_error", exc)
-
-
-def _run_with_budget_override(args) -> int:
-    cfg = load_config(args.config)
-    base = cfg.budget or BudgetSpec(budget_mj=args.budget_mj, baseline_mj=0.0)
-    spec = BudgetSpec(
-        budget_mj=float(args.budget_mj),
-        baseline_mj=base.baseline_mj,
-        lambda_bracket=base.lambda_bracket,
-        tolerance=base.tolerance,
-    )
-    grid = Grid.uniform(int(args.grid) if args.grid else cfg.grid_m)
-    sol = solve_lambda(spec, cfg.primary, grid, secondary_app=cfg.secondary, shared_stages=cfg.shared)
-    args.lam = sol.lam
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 Both applications are solved by finite-horizon value iteration on a belief
 grid.  Stage values are piecewise-linear and concave in the belief, so
 off-grid belief updates are handled by linear interpolation, which
-preserves concavity.  The primary application is a plain optimal-stopping
-cascade; the secondary application is solved on a product grid
+preserves concavity.  Each stage's interpolated transition is one M x M
+matrix: the backward pass applies it, the forward passes its transpose.
+The primary application is a plain optimal-stopping cascade; the
+secondary application is solved on a product grid
 (own belief x primary belief) with an availability flag: once the primary
 is modeled as stopped, the free shared feature is gone for good and the
 secondary falls back to its own feature chain.
@@ -80,61 +82,59 @@ class RiskBreakdown:
 
 
 class _Transition:
-    """Precomputed belief-transition tables for one feature on one grid.
+    """Belief transition of one feature on one grid, as one M x M operator.
 
-    For every grid point and support bin: the evidence weight, the updated
-    belief, and its linear-interpolation position on the target grid.
+    Row m spreads the evidence weight e(m, y) of every support bin y over
+    the two grid points that bracket the updated belief pi_next(m, y), with
+    linear-interpolation weights:
+
+        T[m, n] = sum_y e(m, y) * hat_n(pi_next(m, y)).
+
+    The backward pass takes expectations with `T @ v`, for a value vector or
+    a table with one column per primary belief; the forward pass moves
+    belief mass with the adjoint `T.T @ mass`.  Forward is therefore the
+    exact adjoint of backward by construction.  Interpolation on a grid
+    keeps the value functions concave (Lovejoy 1991).  The matrix is built
+    by one scatter and is all the operator keeps.
     """
+
+    __slots__ = ("matrix",)
 
     def __init__(self, grid: Grid, model: ConditionalPmf):
         support = model.support()
         ratios = likelihood_ratios(model)[support]
         g = grid.points
-        self.grid = grid
-        self.support = support
-        self.p0 = model.p0[support]
-        self.p1 = model.p1[support]
-        # evidence weights e[m, y] and updated beliefs pi_next[m, y]
-        self.evidence = g[:, None] * self.p1[None, :] + (1.0 - g)[:, None] * self.p0[None, :]
+        m = grid.m
+        evidence = g[:, None] * model.p1[support][None, :] + (1.0 - g)[:, None] * model.p0[support][None, :]
         pi_next = posterior_update_array(g[:, None], ratios[None, :])
-        idx = np.searchsorted(g, pi_next, side="right") - 1
-        idx = np.clip(idx, 0, grid.m - 2)
-        span = g[idx + 1] - g[idx]
-        self.pi_next = pi_next
-        self.idx = idx
-        self.w_hi = (pi_next - g[idx]) / span
+        idx = np.clip(np.searchsorted(g, pi_next, side="right") - 1, 0, m - 2)
+        w_hi = (pi_next - g[idx]) / (g[idx + 1] - g[idx])
+        flat = (idx + m * np.arange(m)[:, None]).ravel()
+        cells = np.concatenate([flat, flat + 1])
+        weights = np.concatenate([(evidence * (1.0 - w_hi)).ravel(), (evidence * w_hi).ravel()])
+        self.matrix = np.bincount(cells, weights=weights, minlength=m * m).reshape(m, m)
 
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """E[V(pi_next)] per grid point for a 1-D value vector."""
-        interp = values[self.idx] * (1.0 - self.w_hi) + values[self.idx + 1] * self.w_hi
-        return np.einsum("my,my->m", self.evidence, interp)
-
-    def expect_columns(self, table: np.ndarray) -> np.ndarray:
-        """Column-wise E[V(pi_next, col)] for a (rows x cols) value table."""
-        out = np.zeros_like(table)
-        for y in range(self.support.size):
-            lo = table[self.idx[:, y], :]
-            hi = table[self.idx[:, y] + 1, :]
-            mix = lo * (1.0 - self.w_hi[:, y])[:, None] + hi * self.w_hi[:, y][:, None]
-            out += self.evidence[:, y][:, None] * mix
-        return out
+    def expect(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """E[V(pi_next)] per grid point; a 2-D table is taken column by column (into `out` if given)."""
+        return np.matmul(self.matrix, values, out=out)
 
     def push(self, mass: np.ndarray) -> np.ndarray:
-        """Adjoint of `expect`: propagate a belief mass vector one stage."""
-        m = self.grid.m
-        contrib = mass[:, None] * self.evidence
-        lo = np.bincount(self.idx.ravel(), weights=(contrib * (1.0 - self.w_hi)).ravel(), minlength=m)
-        hi = np.bincount((self.idx + 1).ravel(), weights=(contrib * self.w_hi).ravel(), minlength=m)
-        return lo + hi
+        """Adjoint of `expect`: propagate belief mass (a vector or per-column table) one stage."""
+        return self.matrix.T @ mass
 
-    def push_columns(self, mass2d: np.ndarray) -> np.ndarray:
-        """Adjoint of `expect_columns`: propagate per-column mass tables."""
-        out = np.zeros_like(mass2d)
-        for y in range(self.support.size):
-            contrib = mass2d * self.evidence[:, y][:, None]
-            np.add.at(out, self.idx[:, y], contrib * (1.0 - self.w_hi[:, y])[:, None])
-            np.add.at(out, self.idx[:, y] + 1, contrib * self.w_hi[:, y][:, None])
-        return out
+
+def _stage_operators(grid: Grid, stages: Sequence[StageModel], ops=None) -> list:
+    """One transition operator per stage, unless the caller built them already."""
+    if ops is not None:
+        return ops
+    return [_Transition(grid, stage.effective) for stage in stages]
+
+
+def _secondary_operators(grid2: Grid, app2: AppConfig, shared_stages, ops=None) -> tuple:
+    """(own, shared) per-stage operators of the secondary on its own-belief grid."""
+    if ops is not None:
+        return ops
+    return _stage_operators(grid2, app2.stages), _stage_operators(grid2, shared_stages)
 
 
 def _require_robustified(stages: Sequence[StageModel]):
@@ -193,14 +193,15 @@ class PrimaryResult:
         return float(np.interp(pi, self.grid.points, self.values[0]))
 
 
-def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
+def optimize_primary(app: AppConfig, lam: float, grid: Grid, *, _ops=None) -> PrimaryResult:
     """Backward value iteration for the primary cascade.
 
     The final stage value is the Bayes envelope min(C_M*pi, C_A*(1-pi));
     intermediate stages compare stopping against the resource-priced
     expected next-stage value.  Thresholds are the smallest grid points
     where continuing strictly wins, clamped to the stage envelope.  Exact
-    ties prefer the continue/positive branch.
+    ties prefer the continue/positive branch.  `_ops` lets a caller that
+    solves the same system repeatedly pass the per-stage operators it built.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -217,11 +218,11 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
     thresholds[k - 1] = app.fa_cost / (app.fa_cost + app.miss_cost)
     cont_values = np.zeros((max(k - 1, 0), grid.m))
     continue_mask = np.zeros((max(k - 1, 0), grid.m), dtype=bool)
+    ops = _stage_operators(grid, app.stages, _ops)
 
     for i in range(k - 1, 0, -1):
         stage = app.stages[i]  # feature consumed when continuing from stage i
-        trans = _Transition(grid, stage.effective)
-        cont = lam * stage.cost_mj + trans.expect(values[i + 1])
+        cont = lam * stage.cost_mj + ops[i].expect(values[i + 1])
         stop = cm * b
         values[i] = np.minimum(stop, cont)
         cont_values[i - 1] = cont
@@ -229,13 +230,15 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
         lo, hi = bounds[i]
         thresholds[i - 1] = _clamp(_stop_threshold(grid, stop, cont), lo, hi)
 
-    first = _Transition(grid, app.stages[0].effective)
-    values[0] = lam * app.stages[0].cost_mj + first.expect(values[1])
+    values[0] = lam * app.stages[0].cost_mj + ops[0].expect(values[1])
     return PrimaryResult(grid, lam, values, cont_values, thresholds, continue_mask, declare_mask, bounds)
 
 
 # secondary action codes in the with-branch tables
 STOP, USE_SHARED, USE_OWN = 0, 1, 2
+
+# tie slack of the secondary's action comparisons, in units of C_M
+_TIE_SLACK = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -290,6 +293,8 @@ def optimize_secondary(
     primary: PrimaryResult,
     lam: float,
     grid2: Optional[Grid] = None,
+    *,
+    _ops=None,
 ) -> SecondaryResult:
     """Backward value iteration for the secondary application.
 
@@ -298,6 +303,12 @@ def optimize_secondary(
     model).  While the primary keeps running, the secondary may consume the
     already-extracted primary feature at zero marginal cost or pay for its
     own feature; once the primary stops, only the own-feature chain is left.
+
+    Exact ties go to continuing and to sharing.  Each of those comparisons
+    allows a slack of `_TIE_SLACK * C_M`, a few ulps of the largest value,
+    so that a tie is settled by the rule and not by rounding in the last
+    digits.  `_ops` is an (own, shared) pair of per-stage operator lists
+    that a caller solving the same system repeatedly may pass.
     """
     if len(shared_stages) != app2.k:
         raise ValueError("need one shared-feature model per stage")
@@ -337,23 +348,24 @@ def optimize_secondary(
     with_values[k] = final[:, None]
     declare_mask = ca * (1.0 - b2) <= cm * b2
     final_threshold = app2.fa_cost / (app2.fa_cost + app2.miss_cost)
+    tie = _TIE_SLACK * cm
+    own_ops, shared_ops = _secondary_operators(grid2, app2, shared_stages, _ops)
 
     for i in range(k - 1, -1, -1):
         own = app2.stages[i]
-        sh = shared_stages[i]
-        t_own = _Transition(grid2, own.effective)
-        t_shared = _Transition(grid2, sh.effective)
+        t_own, t_shared = own_ops[i], shared_ops[i]
 
         cont_wo = lam * own.cost_mj + t_own.expect(without_values[i + 1])
-        f1 = t_shared.expect_columns(with_values[i + 1])
-        f2 = t_own.expect_columns(with_values[i + 1])
-        shared_cont[i] = f1
-        own_cont[i] = f2
+        # written in place: fresh (M2 x M1) temporaries cost page faults at large M
+        f1 = t_shared.expect(with_values[i + 1], out=shared_cont[i])
+        f2 = t_own.expect(with_values[i + 1], out=own_cont[i])
+        priced = lam * own.cost_mj + f2
 
         if i == 0:
             # no stop action before the first observation
             without_values[0] = cont_wo
-            with_values[0] = np.minimum(f1, lam * own.cost_mj + f2)
+            with_values[0] = np.minimum(f1, priced)
+            delta0 = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
             continue
 
         stop = cm * b2
@@ -363,16 +375,12 @@ def optimize_secondary(
         tau_without[i - 1] = _clamp(_stop_threshold(grid2, stop, cont_wo), lo, hi)
 
         avail = primary.continue_mask[i - 1]
-        best_cont = np.minimum(f1, lam * own.cost_mj + f2)
-        table = np.minimum(stop[:, None], best_cont)
+        best_cont = np.minimum(f1, priced)
+        table = np.minimum(stop[:, None], best_cont, out=with_values[i])
         table[:, ~avail] = without_values[i][:, None]
-        with_values[i] = table
 
-        act = np.where(
-            best_cont <= stop[:, None],
-            np.where(f1 <= lam * own.cost_mj + f2, USE_SHARED, USE_OWN),
-            STOP,
-        ).astype(np.int8)
+        act = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
+        act[best_cont > stop[:, None] + tie] = STOP
         fallback = np.where(actions_without[i - 1], USE_OWN, STOP).astype(np.int8)
         act[:, ~avail] = fallback[:, None]
         actions_with[i - 1] = act
@@ -383,7 +391,6 @@ def optimize_secondary(
             else:
                 eta[i - 1, j] = tau_without[i - 1]
 
-    delta0 = np.where(shared_cont[0] <= lam * app2.stages[0].cost_mj + own_cont[0], USE_SHARED, USE_OWN).astype(np.int8)
     return SecondaryResult(
         grid2, grid1, lam, with_values, without_values, shared_cont, own_cont,
         actions_with, actions_without, declare_mask, delta0, final_threshold,
@@ -411,10 +418,13 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_sta
     feature there (ties prefer sharing).  The miss-cost-weighted
     posterior-difference bound is reported alongside for reference; under
     each feature's own evidence measure both expectations are martingales,
-    so that form is ~0 and carries no information.
+    so that form is ~0 and carries no information.  Its expected next
+    belief is `T @ grid.points`, exact because interpolation reproduces a
+    linear function.
     """
     checks = []
     lam = result.lam
+    points = result.grid2.points
     for i in range(result.k):
         diff = result.shared_cont[i] - result.own_cont[i]
         if i == 0:
@@ -424,10 +434,8 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_sta
             worst = float(diff[:, avail].max()) if avail.any() else float("-inf")
         worst -= lam * app2.stages[i].cost_mj
 
-        t_own = _Transition(result.grid2, app2.stages[i].effective)
-        t_shared = _Transition(result.grid2, shared_stages[i].effective)
-        e_shared = np.einsum("my,my->m", t_shared.evidence, t_shared.pi_next)
-        e_own = np.einsum("my,my->m", t_own.evidence, t_own.pi_next)
+        e_shared = _Transition(result.grid2, shared_stages[i].effective).expect(points)
+        e_own = _Transition(result.grid2, app2.stages[i].effective).expect(points)
         ref = float((app2.miss_cost * (e_shared - e_own)).max()) - lam * app2.stages[i].cost_mj
 
         checks.append(SharingCheck(i + 1, bool(worst <= tol), worst, ref))
@@ -480,13 +488,14 @@ def cascade_optimality_secondary(result: SecondaryResult, app2: AppConfig) -> li
     return out
 
 
-def forward_primary(result: PrimaryResult, app: AppConfig):
+def forward_primary(result: PrimaryResult, app: AppConfig, *, _ops=None):
     """Exact forward propagation of the primary policy on the grid.
 
-    Mirrors the backward pass (same transition tables, adjoint scatter), so
-    the accumulated total reproduces the stage-0 value up to roundoff.
-    Returns the risk breakdown, the expected extraction energy in mJ, and
-    the per-stage continuation probabilities.
+    Mirrors the backward pass with the adjoint `T.T @ mass` of each stage
+    operator, so the accumulated total reproduces the stage-0 value up to
+    roundoff.  Returns the risk breakdown, the expected extraction energy
+    in mJ, and the per-stage continuation probabilities.  `_ops` is as in
+    `optimize_primary`.
     """
     grid = result.grid
     b = grid.points
@@ -502,7 +511,8 @@ def forward_primary(result: PrimaryResult, app: AppConfig):
     energy = app.stages[0].cost_mj  # first feature is always extracted
     cont_probs = []
     miss = 0.0
-    mass = _Transition(grid, app.stages[0].effective).push(mass)
+    ops = _stage_operators(grid, app.stages, _ops)
+    mass = ops[0].push(mass)
     for i in range(1, k):
         go = result.continue_mask[i - 1]
         stopped = mass * ~go
@@ -511,7 +521,7 @@ def forward_primary(result: PrimaryResult, app: AppConfig):
         p_cont = float(moving.sum())
         cont_probs.append(p_cont)
         energy += app.stages[i].cost_mj * p_cont
-        mass = _Transition(grid, app.stages[i].effective).push(moving)
+        mass = ops[i].push(moving)
     pos = result.declare_mask
     miss += cm * float((mass * ~pos) @ b)
     fa = ca * float((mass * pos) @ (1.0 - b))
@@ -519,14 +529,19 @@ def forward_primary(result: PrimaryResult, app: AppConfig):
     return breakdown, energy, np.asarray(cont_probs)
 
 
-def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, prior1: Belief):
-    """Forward propagation of the secondary policy, mirroring its DP kernels.
+def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, prior1: Belief, *, _ops=None):
+    """Forward propagation of the secondary policy, the adjoint of its DP.
 
-    Carries a joint (own-belief x primary-column) mass for the with-branch
-    and a marginal mass for the without-branch; columns where the primary
-    policy stops hand their mass to the without-branch.  Returns the risk
-    breakdown, the expected own-feature energy, and the per-decision-stage
-    probabilities of paying for the own feature.
+    Under the design measure the primary belief never moves: it is a fixed
+    parameter of the per-column recursion, and every transition acts on the
+    own-belief axis only.  So all with-branch mass stays on the two primary
+    columns j1, j1+1 that bracket `prior1`, and the pass carries an
+    (M2 x 2) mass on them plus a marginal M2 mass for the without-branch.
+    Nothing is approximated: the other columns would only ever hold zeros.
+    A column where the primary policy stops hands its mass to the
+    without-branch.  Returns the risk breakdown, the expected own-feature
+    energy, and the per-decision-stage probabilities of paying for the own
+    feature.  `_ops` is as in `optimize_secondary`.
     """
     g2, g1 = result.grid2, result.grid1
     b2, b1 = g2.points, g1.points
@@ -534,31 +549,32 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
     cm, ca = app2.miss_cost, app2.fa_cost
     lam = result.lam
 
-    mass = np.zeros((g2.m, g1.m))
     i2 = min(np.searchsorted(b2, app2.prior, side="right") - 1, g2.m - 2)
     w2 = (app2.prior - b2[i2]) / (b2[i2 + 1] - b2[i2])
     j1 = min(np.searchsorted(b1, prior1, side="right") - 1, g1.m - 2)
     w1 = (prior1 - b1[j1]) / (b1[j1 + 1] - b1[j1])
-    for di, wi in ((0, 1.0 - w2), (1, w2)):
-        for dj, wj in ((0, 1.0 - w1), (1, w1)):
-            mass[i2 + di, j1 + dj] += wi * wj
+    cols = [j1, j1 + 1]
+    col_weights = np.array([1.0 - w1, w1])
+    mass = np.zeros((g2.m, 2))
+    mass[i2] += (1.0 - w2) * col_weights
+    mass[i2 + 1] += w2 * col_weights
 
     energy = 0.0
     own_probs = []
     miss = 0.0
+    own_ops, shared_ops = _secondary_operators(g2, app2, shared_stages, _ops)
 
-    t_own0 = _Transition(g2, app2.stages[0].effective)
-    t_sh0 = _Transition(g2, shared_stages[0].effective)
-    f2_mass = mass * (result.delta0 == USE_OWN)
-    f1_mass = mass * (result.delta0 == USE_SHARED)
+    delta0 = result.delta0[:, cols]
+    f2_mass = mass * (delta0 == USE_OWN)
+    f1_mass = mass * (delta0 == USE_SHARED)
     p_own = float(f2_mass.sum())
     own_probs.append(p_own)
     energy += app2.stages[0].cost_mj * p_own
-    mass = t_sh0.push_columns(f1_mass) + t_own0.push_columns(f2_mass)
+    mass = shared_ops[0].push(f1_mass) + own_ops[0].push(f2_mass)
     mass_without = np.zeros(g2.m)
 
     for i in range(1, k):
-        avail = result.primary_continue[i - 1]
+        avail = result.primary_continue[i - 1][cols]
         mass_without = mass_without + mass[:, ~avail].sum(axis=1)
         mass[:, ~avail] = 0.0
 
@@ -566,7 +582,7 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
         miss += cm * float((mass_without * ~go_wo) @ b2)
         moving_wo = mass_without * go_wo
 
-        act = result.actions_with[i - 1]
+        act = result.actions_with[i - 1][:, cols]
         stop_mass = mass * (act == STOP)
         miss += cm * float(stop_mass.sum(axis=1) @ b2)
         f1_mass = mass * (act == USE_SHARED)
@@ -576,10 +592,8 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
         own_probs.append(p_own)
         energy += app2.stages[i].cost_mj * p_own
 
-        t_own = _Transition(g2, app2.stages[i].effective)
-        t_sh = _Transition(g2, shared_stages[i].effective)
-        mass = t_sh.push_columns(f1_mass) + t_own.push_columns(f2_mass)
-        mass_without = t_own.push(moving_wo)
+        mass = shared_ops[i].push(f1_mass) + own_ops[i].push(f2_mass)
+        mass_without = own_ops[i].push(moving_wo)
 
     pos = result.declare_mask
     total2 = mass.sum(axis=1) + mass_without
@@ -598,9 +612,11 @@ def eval_policy_risk(
 ) -> dict:
     """Risk breakdowns per application under the design measure.
 
-    The forward pass uses the same transition tables and tie rules as the
-    backward optimization, so each total matches the corresponding stage-0
-    value up to floating-point roundoff.
+    Each forward pass applies the adjoint of the operators the backward
+    optimization used and follows its recorded actions, so each total
+    matches the corresponding stage-0 value up to floating-point roundoff.
+    The secondary pass carries mass on the two primary columns around the
+    primary prior only.
     """
     out = {}
     breakdown, energy, cont = forward_primary(primary_result, app)

@@ -121,6 +121,68 @@ class TestTwinAndSweep:
         assert "miss1" in rows[0] and "risk2" in rows[0]
 
 
+class TestBudgetOverride:
+    """`--budget-mJ X` behaves like a config whose budget block asks for X."""
+
+    BUDGET_MJ = 45.0
+
+    def _budget_config(self, tmp_path, budget_mj):
+        doc = json.loads(CONFIG.read_text())
+        baseline = doc["baseline_mW"] * doc["frame_ms"] / 1000.0
+        del doc["lambda"]
+        doc["budget"] = {"budget_mJ": budget_mj, "baseline_mJ": baseline}
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(doc))
+        return path, baseline
+
+    @pytest.mark.parametrize("budget_mj, slack", [(BUDGET_MJ, False), (1000.0, True)])
+    def test_override_matches_budget_block(self, tmp_path, budget_mj, slack):
+        config, baseline = self._budget_config(tmp_path, budget_mj)
+        via_flag, via_block = tmp_path / "flag", tmp_path / "block"
+        proc = run_cli("optimize", "--config", str(CONFIG), "--budget-mJ", str(budget_mj),
+                       "--out-dir", str(via_flag))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("optimize", "--config", str(config), "--out-dir", str(via_block))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("budget.json", "policy.json"):
+            assert (via_flag / name).read_bytes() == (via_block / name).read_bytes()
+        doc = json.loads((via_flag / "budget.json").read_text())
+        assert set(doc) == {"lambda", "E1_mJ", "E2_mJ", "baseline_mJ", "total_mJ", "slack"}
+        assert doc["slack"] is slack
+        assert doc["baseline_mJ"] == baseline
+        assert doc["total_mJ"] <= budget_mj
+
+    def test_twin_solves_the_multiplier_per_prior(self, tmp_path):
+        from dataclasses import replace
+
+        from cascadeshare.budget import BudgetSpec, solve_lambda
+        from cascadeshare.cli import load_config
+        from cascadeshare.dp import Grid
+
+        priors = (0.05, 0.2)
+        proc = run_cli("twin", "--config", str(CONFIG), "--budget-mJ", str(self.BUDGET_MJ),
+                       "--priors", ",".join(map(str, priors)), "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+
+        cfg = load_config(str(CONFIG))
+        spec = BudgetSpec(budget_mj=self.BUDGET_MJ, baseline_mj=cfg.baseline_mj)
+        expected = []
+        for p in priors:
+            app = replace(cfg.primary, prior=p)
+            sol = solve_lambda(spec, app, Grid.uniform(cfg.grid_m), secondary_app=app,
+                               shared_stages=cfg.primary.stages)
+            expected.append(sol.lam)
+        assert [r["lam"] for r in rows] == expected
+        assert expected[0] != expected[1]
+
+    def test_lambda_and_budget_override_together_rejected(self, tmp_path):
+        proc = run_cli("optimize", "--config", str(CONFIG), "--lambda", "0.004",
+                       "--budget-mJ", str(self.BUDGET_MJ), "--out-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "config_error"
+
+
 class TestEstimate:
     def test_pmf_from_stream(self, tmp_path):
         stream = tmp_path / "scores.csv"

@@ -1,20 +1,152 @@
 """Backward value iteration: closed forms, value-function structure, consistency."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cascadeshare import dp
 from cascadeshare.models import AppConfig, ConditionalPmf, evidence_pmf, likelihood_ratios, posterior_update_array
 from cascadeshare.robust import StageModel, UncertaintyParams, robustify_app
 from cascadeshare.dp import (
     Grid,
+    RiskBreakdown,
+    STOP,
+    USE_OWN,
+    USE_SHARED,
     cascade_optimality_primary,
     eval_policy_risk,
     forward_primary,
+    forward_secondary,
     optimize_primary,
     optimize_secondary,
 )
 
 from conftest import random_app, random_pmf
+
+GCW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the per-support-bin loops that the M x M operator
+# replaced, and the full (M2 x M1) secondary forward pass
+# ---------------------------------------------------------------------------
+
+class LoopTransition:
+    """Per-bin transition tables with hand-written loop kernels (the oracle).
+
+    `expect` and `push` dispatch on the rank of their input, so the class can
+    stand in for `dp._Transition` inside the optimizers and forward passes.
+    """
+
+    def __init__(self, grid, model):
+        support = model.support()
+        ratios = likelihood_ratios(model)[support]
+        g = grid.points
+        self.grid = grid
+        self.support = support
+        self.evidence = g[:, None] * model.p1[support][None, :] + (1.0 - g)[:, None] * model.p0[support][None, :]
+        pi_next = posterior_update_array(g[:, None], ratios[None, :])
+        idx = np.clip(np.searchsorted(g, pi_next, side="right") - 1, 0, grid.m - 2)
+        self.pi_next = pi_next
+        self.idx = idx
+        self.w_hi = (pi_next - g[idx]) / (g[idx + 1] - g[idx])
+
+    def expect_vector(self, values):
+        interp = values[self.idx] * (1.0 - self.w_hi) + values[self.idx + 1] * self.w_hi
+        return np.einsum("my,my->m", self.evidence, interp)
+
+    def expect_columns(self, table):
+        out = np.zeros_like(table)
+        for y in range(self.support.size):
+            lo = table[self.idx[:, y], :]
+            hi = table[self.idx[:, y] + 1, :]
+            mix = lo * (1.0 - self.w_hi[:, y])[:, None] + hi * self.w_hi[:, y][:, None]
+            out += self.evidence[:, y][:, None] * mix
+        return out
+
+    def push_vector(self, mass):
+        m = self.grid.m
+        contrib = mass[:, None] * self.evidence
+        lo = np.bincount(self.idx.ravel(), weights=(contrib * (1.0 - self.w_hi)).ravel(), minlength=m)
+        hi = np.bincount((self.idx + 1).ravel(), weights=(contrib * self.w_hi).ravel(), minlength=m)
+        return lo + hi
+
+    def push_columns(self, mass2d):
+        out = np.zeros_like(mass2d)
+        for y in range(self.support.size):
+            contrib = mass2d * self.evidence[:, y][:, None]
+            np.add.at(out, self.idx[:, y], contrib * (1.0 - self.w_hi[:, y])[:, None])
+            np.add.at(out, self.idx[:, y] + 1, contrib * self.w_hi[:, y][:, None])
+        return out
+
+    def expect(self, x, out=None):
+        result = self.expect_columns(x) if x.ndim == 2 else self.expect_vector(x)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    def push(self, x):
+        return self.push_columns(x) if x.ndim == 2 else self.push_vector(x)
+
+
+def reference_forward_secondary(result, app2, shared_stages, prior1):
+    """Secondary forward pass on the full (M2 x M1) joint mass, loop kernels."""
+    g2, g1 = result.grid2, result.grid1
+    b2, b1 = g2.points, g1.points
+    k = result.k
+    cm, ca = app2.miss_cost, app2.fa_cost
+
+    mass = np.zeros((g2.m, g1.m))
+    i2 = min(np.searchsorted(b2, app2.prior, side="right") - 1, g2.m - 2)
+    w2 = (app2.prior - b2[i2]) / (b2[i2 + 1] - b2[i2])
+    j1 = min(np.searchsorted(b1, prior1, side="right") - 1, g1.m - 2)
+    w1 = (prior1 - b1[j1]) / (b1[j1 + 1] - b1[j1])
+    for di, wi in ((0, 1.0 - w2), (1, w2)):
+        for dj, wj in ((0, 1.0 - w1), (1, w1)):
+            mass[i2 + di, j1 + dj] += wi * wj
+
+    energy = 0.0
+    own_probs = []
+    miss = 0.0
+    t_own0 = LoopTransition(g2, app2.stages[0].effective)
+    t_sh0 = LoopTransition(g2, shared_stages[0].effective)
+    f2_mass = mass * (result.delta0 == USE_OWN)
+    f1_mass = mass * (result.delta0 == USE_SHARED)
+    p_own = float(f2_mass.sum())
+    own_probs.append(p_own)
+    energy += app2.stages[0].cost_mj * p_own
+    mass = t_sh0.push_columns(f1_mass) + t_own0.push_columns(f2_mass)
+    mass_without = np.zeros(g2.m)
+
+    for i in range(1, k):
+        avail = result.primary_continue[i - 1]
+        mass_without = mass_without + mass[:, ~avail].sum(axis=1)
+        mass[:, ~avail] = 0.0
+        go_wo = result.actions_without[i - 1]
+        miss += cm * float((mass_without * ~go_wo) @ b2)
+        moving_wo = mass_without * go_wo
+        act = result.actions_with[i - 1]
+        stop_mass = mass * (act == STOP)
+        miss += cm * float(stop_mass.sum(axis=1) @ b2)
+        f1_mass = mass * (act == USE_SHARED)
+        f2_mass = mass * (act == USE_OWN)
+        p_own = float(f2_mass.sum() + moving_wo.sum())
+        own_probs.append(p_own)
+        energy += app2.stages[i].cost_mj * p_own
+        t_own = LoopTransition(g2, app2.stages[i].effective)
+        t_sh = LoopTransition(g2, shared_stages[i].effective)
+        mass = t_sh.push_columns(f1_mass) + t_own.push_columns(f2_mass)
+        mass_without = t_own.push_vector(moving_wo)
+
+    pos = result.declare_mask
+    total2 = mass.sum(axis=1) + mass_without
+    miss += cm * float((total2 * ~pos) @ b2)
+    fa = ca * float((total2 * pos) @ (1.0 - b2))
+    return RiskBreakdown(miss, fa, result.lam * energy), energy, np.asarray(own_probs)
 
 
 def solved(app, lam, m=101):
@@ -272,3 +404,169 @@ class TestValidation:
         pr = optimize_primary(app, 0.1, Grid.uniform(11))
         with pytest.raises(ValueError, match="shared"):
             optimize_secondary(app, app.stages[:1], pr, 0.1)
+
+
+def _random_model(rng, bins):
+    """Random PMF pair; some draws zero a bin under one state or under both."""
+    model = random_pmf(rng, bins)
+    p0, p1 = model.p0.copy(), model.p1.copy()
+    kind = rng.integers(0, 4)
+    if kind == 1:
+        p0[rng.integers(bins)] = 0.0  # infinite ratio: the belief jumps to 1
+    elif kind == 2:
+        p1[rng.integers(bins)] = 0.0  # zero ratio: the belief drops to 0
+    elif kind == 3 and bins > 2:
+        y = rng.integers(bins)
+        p0[y] = p1[y] = 0.0  # bin outside the support
+    return ConditionalPmf(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+
+
+def _random_grids(rng):
+    """A uniform grid and an exact (non-uniform) reachable-belief grid."""
+    from cascadeshare.sim import exact_grid_secondary
+
+    app = robustify_app(random_app(rng, k=2, bins=3))
+    yield Grid.uniform(int(rng.integers(2, 60)))
+    yield exact_grid_secondary(app, app.stages)
+
+
+class TestTransitionOperator:
+    """The M x M operator against the loop kernels it replaced."""
+
+    def test_kernels_agree_with_loop_reference(self, rng):
+        for _ in range(40):
+            model = _random_model(rng, int(rng.integers(2, 12)))
+            for grid in _random_grids(rng):
+                op, ref = dp._Transition(grid, model), LoopTransition(grid, model)
+                v = rng.random(grid.m) * 3.0
+                table = rng.random((grid.m, 7)) * 3.0
+                mass = rng.dirichlet(np.ones(grid.m))
+                mass2d = rng.dirichlet(np.ones(grid.m * 3)).reshape(grid.m, 3)
+                np.testing.assert_allclose(op.expect(v), ref.expect_vector(v), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(op.expect(table), ref.expect_columns(table), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(op.push(mass), ref.push_vector(mass), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(op.push(mass2d), ref.push_columns(mass2d), rtol=0, atol=1e-12)
+                # the reference margin's expected next belief
+                np.testing.assert_allclose(
+                    op.expect(grid.points), np.einsum("my,my->m", ref.evidence, ref.pi_next),
+                    rtol=0, atol=1e-12,
+                )
+
+    def test_push_is_the_adjoint_of_expect(self, rng):
+        for _ in range(40):
+            model = _random_model(rng, int(rng.integers(2, 12)))
+            for grid in _random_grids(rng):
+                op = dp._Transition(grid, model)
+                v = rng.random(grid.m) * 3.0
+                mass = rng.dirichlet(np.ones(grid.m))
+                assert float(op.expect(v) @ mass) == pytest.approx(float(v @ op.push(mass)), abs=1e-12)
+
+    def test_operator_keeps_only_its_matrix(self, rng):
+        grid = Grid.uniform(11)
+        op = dp._Transition(grid, random_pmf(rng, 4))
+        assert not hasattr(op, "__dict__")
+        assert op.matrix.shape == (11, 11)
+        # rows are evidence distributions: each sums to one
+        np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _assert_same_forward(got, want):
+    (b_got, e_got, p_got), (b_want, e_want, p_want) = got, want
+    assert b_got.miss == pytest.approx(b_want.miss, abs=1e-12)
+    assert b_got.false_alarm == pytest.approx(b_want.false_alarm, abs=1e-12)
+    assert b_got.weighted_resource == pytest.approx(b_want.weighted_resource, abs=1e-12)
+    assert e_got == pytest.approx(e_want, abs=1e-12)
+    np.testing.assert_allclose(p_got, p_want, rtol=0, atol=1e-12)
+
+
+class TestTwoColumnForwardSecondary:
+    """The (M2 x 2) forward pass against the full (M2 x M1) reference."""
+
+    def test_matches_full_joint_mass(self, rng):
+        for _ in range(8):
+            app = random_app(rng, k=int(rng.integers(2, 4)), bins=3)
+            lam = float(rng.uniform(0, 0.3))
+            rapp = robustify_app(app)
+            grid = Grid.uniform(int(rng.integers(11, 50)))
+            pr = optimize_primary(rapp, lam, grid)
+            sr = optimize_secondary(rapp, rapp.stages, pr, lam)
+            # the prior itself, a grid point, both ends of the belief range, and
+            # beliefs between two columns whose availability differs
+            b = grid.points
+            edges = [float(0.5 * (b[j] + b[j + 1]))
+                     for mask in pr.continue_mask for j in np.flatnonzero(mask[1:] != mask[:-1])]
+            for prior1 in (app.prior, float(b[grid.m // 3]), 0.0, 1.0, *edges):
+                _assert_same_forward(
+                    forward_secondary(sr, rapp, rapp.stages, prior1),
+                    reference_forward_secondary(sr, rapp, rapp.stages, prior1),
+                )
+
+    def test_matches_on_an_exact_secondary_grid(self, rng):
+        from cascadeshare.sim import exact_grid_secondary
+
+        for _ in range(4):
+            app1 = robustify_app(random_app(rng, k=2, bins=3))
+            app2 = robustify_app(random_app(rng, k=2, bins=3))
+            shared = tuple(robustify_app(replace(app2, stages=app1.stages)).stages)
+            lam = float(rng.uniform(0, 0.3))
+            pr = optimize_primary(app1, lam, Grid.uniform(31))
+            grid2 = exact_grid_secondary(app2, shared)
+            sr = optimize_secondary(app2, shared, pr, lam, grid2=grid2)
+            _assert_same_forward(
+                forward_secondary(sr, app2, shared, app1.prior),
+                reference_forward_secondary(sr, app2, shared, app1.prior),
+            )
+
+    def test_secondary_prior_on_a_grid_point(self, rng):
+        app = random_app(rng, k=3, bins=3)
+        grid = Grid.uniform(41)
+        app = replace(app, prior=float(grid.points[9]))
+        rapp = robustify_app(app)
+        pr = optimize_primary(rapp, 0.05, grid)
+        sr = optimize_secondary(rapp, rapp.stages, pr, 0.05)
+        got = forward_secondary(sr, rapp, rapp.stages, app.prior)
+        _assert_same_forward(got, reference_forward_secondary(sr, rapp, rapp.stages, app.prior))
+        assert got[0].total == pytest.approx(sr.value_at(app.prior, app.prior), abs=1e-12)
+
+
+def test_exact_ties_go_to_sharing(rng):
+    """Identical free features tie exactly everywhere: the secondary shares."""
+    app = random_app(rng, k=3, bins=3)
+    free = replace(app, stages=tuple(replace(s, cost_mj=0.0) for s in app.stages))
+    rapp = robustify_app(free)
+    pr = optimize_primary(rapp, 0.1, Grid.uniform(31))
+    sr = optimize_secondary(rapp, rapp.stages, pr, 0.1)
+    assert np.all(sr.delta0 == USE_SHARED)
+    for act, avail in zip(sr.actions_with, sr.primary_continue):
+        assert not np.any(act[:, avail] == USE_OWN)  # other columns hold the solo fallback
+
+
+def _solve_gcw(m):
+    from cascadeshare.cli import load_config, solve_system
+
+    return solve_system(load_config(str(GCW_CONFIG)), grid_override=m)
+
+
+class TestTieRule:
+    """Exact ties in the secondary go to continue and to share, whichever kernel ran."""
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_policy_is_the_same_under_either_kernel(self, m, monkeypatch):
+        from cascadeshare.cli import policy_to_json
+
+        operator = _solve_gcw(m)
+        monkeypatch.setattr(dp, "_Transition", LoopTransition)
+        loops = _solve_gcw(m)
+        np.testing.assert_array_equal(operator.secondary.actions_with, loops.secondary.actions_with)
+        np.testing.assert_array_equal(operator.secondary.delta0, loops.secondary.delta0)
+        assert json.dumps(policy_to_json(operator), sort_keys=True) == json.dumps(policy_to_json(loops), sort_keys=True)
+        np.testing.assert_allclose(operator.secondary.with_values, loops.secondary.with_values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_forward_totals_equal_stage0_values(self, m):
+        solved = _solve_gcw(m)
+        prior = solved.app1.prior
+        b1, _, _ = forward_primary(solved.primary, solved.app1)
+        b2, _, _ = forward_secondary(solved.secondary, solved.app2, solved.shared, prior)
+        assert b1.total == pytest.approx(solved.primary.value_at(prior), abs=1e-12)
+        assert b2.total == pytest.approx(solved.secondary.value_at(solved.app2.prior, prior), abs=1e-12)
