@@ -30,6 +30,7 @@ from .robust import (
     robustify_app,
     robustify_app_stages,
     robustify_stage,
+    robustify_system,
     solve_breakpoints,
 )
 from .dp import (

@@ -3,9 +3,11 @@
 The multiplier prices feature extraction inside the optimizer; this module
 computes the resulting expected energy per frame and bisects the multiplier
 until consumption meets a system budget.  Consumption is a step-like,
-non-increasing function of the multiplier (policies change discretely), so
-the search returns the smallest bracketed multiplier whose consumption does
-not exceed the target.
+non-increasing function of the multiplier (policies change discretely).
+The search stops at the first midpoint whose consumption is within budget
+and within the budget's relative tolerance of it; when no midpoint comes
+that close, it narrows the bracket to 1e-12 of its width and returns the
+smallest multiplier seen within budget.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .models import AppConfig
-from .robust import robustify_app
+# robustify_app is imported only so that perfbench/spans.py can trace it under this module's name
+from .robust import robustify_app, robustify_system
 from .dp import (
     Grid,
     _secondary_operators,
@@ -32,7 +35,11 @@ class BracketFailureError(ValueError):
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Energy budget in mJ per frame, with the policy-independent baseline."""
+    """Energy budget in mJ per frame, with the policy-independent baseline.
+
+    The multiplier is searched in `lambda_bracket`; the search may stop once
+    consumption is within budget and within `tolerance` (relative) of it.
+    """
 
     budget_mj: float
     baseline_mj: float = 0.0
@@ -127,35 +134,30 @@ def solve_lambda(
     grid: Grid,
     secondary_app: Optional[AppConfig] = None,
     shared_stages=None,
-    max_iter: int = 60,
 ) -> LambdaSolution:
     """Bisection on the multiplier until consumption meets the budget.
 
+    Takes the nominal system, robustifies it, and searches as
+    `_solve_robustified` does.
+    """
+    return _solve_robustified(spec, grid, *robustify_system(primary_app, secondary_app, shared_stages))
+
+
+def _solve_robustified(spec: BudgetSpec, grid: Grid, app: AppConfig, app2=None, shared=None) -> LambdaSolution:
+    """The multiplier search on an already robustified system.
+
     Returns with the slack flag when the bracket's lower end (normally 0)
     already satisfies the budget; raises BracketFailureError when even the
-    top of the bracket consumes too much.  Otherwise iterates until the
-    achieved consumption is within the relative tolerance of the target or
-    the iteration cap is reached, and returns the cheapest multiplier seen
-    whose consumption is within budget.
+    top of the bracket consumes too much.  Otherwise bisects and returns
+    the first midpoint whose consumption is within budget and within
+    `spec.tolerance * target` of the target; when none is, the bracket is
+    narrowed to 1e-12 of its width and the cheapest multiplier seen within
+    budget is returned.
 
     The stage models do not depend on the multiplier, so each stage's
     belief-transition operator is built once here and reused by every
     solve of the search; it is dropped when the search returns.
     """
-    app = robustify_app(primary_app)
-    app2 = None
-    shared = None
-    if secondary_app is not None:
-        if shared_stages is None:
-            raise ValueError("secondary budget accounting needs shared_stages")
-        app2 = robustify_app(secondary_app)
-        shared = tuple(robustify_app(AppConfig(
-            prior=secondary_app.prior,
-            miss_cost=secondary_app.miss_cost,
-            fa_cost=secondary_app.fa_cost,
-            stages=tuple(shared_stages),
-        )).stages)
-
     ops = (
         _stage_operators(grid, app.stages),
         None if app2 is None else _secondary_operators(grid, app2, shared),
@@ -173,20 +175,20 @@ def solve_lambda(
             f"consumption {e1_hi + e2_hi:.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
         )
 
-    # E is step-like in the multiplier: bisect the bracket all the way down so
-    # the returned multiplier is the smallest one meeting the target
     best = (hi, e1_hi, e2_hi)
     width0 = hi - lo
-    for _ in range(max_iter):
+    for _ in range(60):  # more halvings than a double has digits
         if hi - lo <= 1e-12 * width0:
             break
         mid = 0.5 * (lo + hi)
         e1_m, e2_m = _consumption(mid, app, grid, app2, shared, ops)
-        if e1_m + e2_m <= target:
-            hi = mid
-            best = (mid, e1_m, e2_m)
-        else:
+        if e1_m + e2_m > target:
             lo = mid
+            continue
+        hi = mid
+        best = (mid, e1_m, e2_m)
+        if target - (e1_m + e2_m) <= spec.tolerance * target:
+            break
 
     lam, e1, e2 = best
     return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, False)

@@ -22,11 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .models import AppConfig, estimate_pmf, pmf_from_json, pmf_to_json
+# robustify_app and solve_lambda are imported only so that perfbench/spans.py can trace
+# them under this module's name
 from .robust import (
     DegenerateUncertaintyError,
     StageModel,
     UncertaintyParams,
     robustify_app,
+    robustify_system,
     stage_model_to_json,
 )
 from .dp import (
@@ -39,10 +42,12 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import BracketFailureError, BudgetSpec, cost_from_components, expected_resource, solve_lambda
+from .budget import (BracketFailureError, BudgetSpec, _solve_robustified, cost_from_components,
+                     expected_resource, solve_lambda)
 from .sim import (
     CascadeSystem,
     EnumerationCapError,
+    _check_pairing,
     augmented_optimum,
     brute_force_optimum,
     simulate,
@@ -111,16 +116,13 @@ class SystemConfig:
                 tolerance=float(b.get("tolerance", 1e-3)),
             )
         primary = _app_from_doc(doc["primary"])
-        secondary = None
-        shared = None
+        secondary = shared = None
         if "secondary" in doc:
-            sec = doc["secondary"]
-            secondary = _app_from_doc(sec)
-            if "shared" not in sec:
-                raise ConfigError("secondary config must carry per-stage shared-feature models")
-            shared = tuple(_stage_from_doc(s) for s in sec["shared"])
-            if secondary.k != primary.k or len(shared) != primary.k:
-                raise ConfigError("stage count K must match across applications")
+            secondary = _app_from_doc(doc["secondary"])
+            if "shared" in doc["secondary"]:
+                shared = tuple(_stage_from_doc(s) for s in doc["secondary"]["shared"])
+        coupling = doc.get("coupling", "twin")
+        _check_pairing(primary, secondary, shared, coupling)
         if budget is not None:
             baseline = budget.baseline_mj
         elif "baseline_mW" in doc:
@@ -134,7 +136,7 @@ class SystemConfig:
             grid_m=int(doc.get("grid_m", 100)),
             lam=float(doc["lambda"]) if "lambda" in doc else None,
             budget=budget,
-            coupling=doc.get("coupling", "twin"),
+            coupling=coupling,
             seed=int(doc.get("seed", 0)),
             trials=int(doc.get("trials", 100_000)),
             priors=[float(p) for p in doc.get("priors", [])],
@@ -188,30 +190,33 @@ class Solved:
 
 
 def solve_system(cfg: SystemConfig, lam_override=None, grid_override=None) -> Solved:
+    """Robustify the config's system once, solve its multiplier if it has a budget, and optimize."""
     grid = Grid.uniform(int(grid_override) if grid_override else cfg.grid_m)
+    app1, app2, shared = robustify_system(cfg.primary, cfg.secondary, cfg.shared)
     budget_solution = None
     if lam_override is not None:
         lam = float(lam_override)
     elif cfg.lam is not None:
         lam = cfg.lam
     else:
-        budget_solution = solve_lambda(
-            cfg.budget, cfg.primary, grid,
-            secondary_app=cfg.secondary,
-            shared_stages=cfg.shared,
-        )
+        budget_solution = _solve_robustified(cfg.budget, grid, app1, app2, shared)
         lam = budget_solution.lam
 
-    app1 = robustify_app(cfg.primary)
     pr = optimize_primary(app1, lam, grid)
-    app2 = None
-    shared = None
-    sr = None
-    if cfg.secondary is not None:
-        app2 = robustify_app(cfg.secondary)
-        shared = tuple(robustify_app(replace(cfg.secondary, stages=cfg.shared)).stages)
-        sr = optimize_secondary(app2, shared, pr, lam)
+    sr = None if app2 is None else optimize_secondary(app2, shared, pr, lam)
     return Solved(lam, grid, app1, app2, shared, pr, sr, budget_solution, cfg.baseline_mj)
+
+
+def _system(cfg: SystemConfig, lam: float) -> CascadeSystem:
+    """The config's nominal system at multiplier `lam`."""
+    return CascadeSystem(cfg.primary, lam, secondary=cfg.secondary, shared=cfg.shared, coupling=cfg.coupling)
+
+
+def _priors(args, cfg: SystemConfig) -> list:
+    """The prior sweep: `--priors`, else the config's list, else its primary prior."""
+    if args.priors:
+        return [float(p) for p in args.priors.split(",")]
+    return cfg.priors or [cfg.primary.prior]
 
 
 def _fmt(x) -> str:
@@ -325,12 +330,8 @@ def _cmd_simulate(args) -> int:
     solved = solve_system(cfg, args.lam, args.grid)
     trials = args.trials if args.trials else cfg.trials
     seed = args.seed if args.seed is not None else cfg.seed
-    system = CascadeSystem(
-        cfg.primary, solved.lam,
-        secondary=cfg.secondary, shared=cfg.shared, coupling=cfg.coupling,
-    )
     report = simulate(
-        system, solved.primary, solved.secondary,
+        _system(cfg, solved.lam), solved.primary, solved.secondary,
         n_trials=trials, seed=seed,
         no_sharing=args.no_sharing, collect_trials=args.dump_trials,
     )
@@ -363,7 +364,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_twin(args) -> int:
     cfg = _run_config(args)
-    priors = [float(p) for p in args.priors.split(",")] if args.priors else (cfg.priors or [cfg.primary.prior])
+    priors = _priors(args, cfg)
     grid = Grid.uniform(int(args.grid) if args.grid else cfg.grid_m)
     lam = args.lam if args.lam is not None else cfg.lam
     rows = twin_experiment(
@@ -417,10 +418,10 @@ def _cmd_check(args) -> int:
         doc["sharing_all_pass"] = all(c.passes for c in checks)
         doc["cascade_optimality_secondary"] = cascade_optimality_secondary(solved.secondary, solved.app2)
     if args.allow_early_positive:
-        system = CascadeSystem(cfg.primary, solved.lam, secondary=cfg.secondary,
-                               shared=cfg.shared, coupling=cfg.coupling)
-        base = brute_force_optimum(system)
-        aug = augmented_optimum(system)
+        system = _system(cfg, solved.lam)
+        prepared = (solved.app1, solved.app2, solved.shared)
+        base = brute_force_optimum(system, prepared=prepared)
+        aug = augmented_optimum(system, prepared=prepared)
         doc["early_positive_experiment"] = {
             "cascade_optimum": base["total_risk"],
             "augmented_optimum": aug["total_risk"],
@@ -435,7 +436,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    priors = [float(p) for p in args.priors.split(",")] if args.priors else (cfg.priors or [cfg.primary.prior])
+    priors = _priors(args, cfg)
     rows = []
     for p in priors:
         cfg_p = replace(

@@ -143,19 +143,18 @@ def _require_robustified(stages: Sequence[StageModel]):
             raise ValueError(f"stage {i + 1} has not been robustified")
 
 
-def stage_belief_bounds(stages: Sequence[StageModel], prior: Belief) -> list[tuple[float, float]]:
-    """Reachable-belief envelope per stage, from the clipped ratio windows.
+def belief_bounds(windows, prior: Belief) -> list[tuple[float, float]]:
+    """Reachable-belief envelope per stage, from per-stage ratio windows (l_lo, l_hi).
 
     Entry i (i = 0..K) bounds the belief after i features; entry 0 is the
     prior itself.  The final stage is not robustified, so its window is the
     nominal ratio range and the last envelope may reach 0 or 1.
     """
-    bounds = [(float(prior), float(prior))]
-    lo, hi = float(prior), float(prior)
-    for stage in stages:
-        b = stage.breakpoints
-        lo = float(posterior_update_array(lo, b.l_lo))
-        hi = float(posterior_update_array(hi, b.l_hi))
+    lo = hi = float(prior)
+    bounds = [(lo, hi)]
+    for l_lo, l_hi in windows:
+        lo = float(posterior_update_array(lo, l_lo))
+        hi = float(posterior_update_array(hi, l_hi))
         bounds.append((lo, hi))
     return bounds
 
@@ -209,7 +208,7 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid, *, _ops=None) -> Pr
     k = app.k
     b = grid.points
     cm, ca = app.miss_cost, app.fa_cost
-    bounds = stage_belief_bounds(app.stages, app.prior)
+    bounds = belief_bounds([(s.breakpoints.l_lo, s.breakpoints.l_hi) for s in app.stages], app.prior)
 
     values = np.zeros((k + 1, grid.m))
     values[k] = np.minimum(cm * b, ca * (1.0 - b))
@@ -325,14 +324,11 @@ def optimize_secondary(
     m2, m1 = grid2.m, grid1.m
 
     # pi2 envelope: each stage may use either feature, so take the union window
-    bounds2 = [(float(app2.prior), float(app2.prior))]
-    lo, hi = bounds2[0]
-    for own, sh in zip(app2.stages, shared_stages):
-        l_lo = min(own.breakpoints.l_lo, sh.breakpoints.l_lo)
-        l_hi = max(own.breakpoints.l_hi, sh.breakpoints.l_hi)
-        lo = float(posterior_update_array(lo, l_lo))
-        hi = float(posterior_update_array(hi, l_hi))
-        bounds2.append((lo, hi))
+    bounds2 = belief_bounds(
+        [(min(own.breakpoints.l_lo, sh.breakpoints.l_lo), max(own.breakpoints.l_hi, sh.breakpoints.l_hi))
+         for own, sh in zip(app2.stages, shared_stages)],
+        app2.prior,
+    )
 
     with_values = np.zeros((k + 1, m2, m1))
     without_values = np.zeros((k + 1, m2))
@@ -408,19 +404,18 @@ class SharingCheck:
     reference_margin: float  # miss-cost-weighted posterior-difference form (report only)
 
 
-def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_stages, tol: float = 0.0):
+def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_stages):
     """Evaluate, per stage, whether taking the shared feature is always optimal.
 
     The operative inequality compares the two continuation expectations
     directly against the priced own-feature cost at every grid cell where
-    the shared feature is actually on offer; with the default zero
-    tolerance a pass guarantees the optimizer never selects the own
-    feature there (ties prefer sharing).  The miss-cost-weighted
-    posterior-difference bound is reported alongside for reference; under
-    each feature's own evidence measure both expectations are martingales,
-    so that form is ~0 and carries no information.  Its expected next
-    belief is `T @ grid.points`, exact because interpolation reproduces a
-    linear function.
+    the shared feature is actually on offer; a pass (worst margin <= 0)
+    guarantees the optimizer never selects the own feature there (ties
+    prefer sharing).  The miss-cost-weighted posterior-difference bound is
+    reported alongside for reference; under each feature's own evidence
+    measure both expectations are martingales, so that form is ~0 and
+    carries no information.  Its expected next belief is `T @ grid.points`,
+    exact because interpolation reproduces a linear function.
     """
     checks = []
     lam = result.lam
@@ -438,7 +433,7 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_sta
         e_own = _Transition(result.grid2, app2.stages[i].effective).expect(points)
         ref = float((app2.miss_cost * (e_shared - e_own)).max()) - lam * app2.stages[i].cost_mj
 
-        checks.append(SharingCheck(i + 1, bool(worst <= tol), worst, ref))
+        checks.append(SharingCheck(i + 1, bool(worst <= 0.0), worst, ref))
     return checks
 
 

@@ -255,9 +255,25 @@ def robustify_app_stages(stages) -> tuple[StageModel, ...]:
 
 def robustify_app(app) -> "AppConfig":
     """Copy of an application config with all stages robustified."""
-    from dataclasses import replace as dc_replace
+    return replace(app, stages=robustify_app_stages(app.stages))
 
-    return dc_replace(app, stages=robustify_app_stages(app.stages))
+
+def robustify_system(primary, secondary=None, shared=None) -> tuple:
+    """The planning models of a system: robustified (primary, secondary, shared).
+
+    Both applications and the secondary's models of the shared feature are
+    replaced by their least-favorable versions; the shared models form a
+    stage chain of their own, whose last stage is trusted as-is like any
+    final stage.  Without a secondary the last two entries are None.
+    This is the one place a system gets robustified.
+    """
+    app1 = robustify_app(primary)
+    if secondary is None:
+        return app1, None, None
+    if shared is None:
+        raise ValueError("a secondary application needs its shared-feature models")
+    app2 = robustify_app(secondary)
+    return app1, app2, robustify_app(replace(secondary, stages=shared)).stages
 
 
 def posterior_bounds(pi_prev: Belief, b: Breakpoints) -> tuple[Belief, Belief]:

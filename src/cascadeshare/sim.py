@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import AppConfig, ConditionalPmf, likelihood_ratios, posterior_update_array
-from .robust import StageModel, robustify_app
+# robustify_app is imported only so that perfbench/spans.py can trace it under this module's name
+from .robust import StageModel, robustify_app, robustify_system
 from .dp import (
     Grid,
     PrimaryResult,
@@ -31,6 +32,7 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
+from .budget import _solve_robustified
 
 ENUMERATION_CAP = 10_000_000
 
@@ -56,21 +58,34 @@ class CascadeSystem:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.coupling not in ("twin", "independent"):
-            raise ValueError("coupling must be 'twin' or 'independent'")
-        if (self.secondary is None) != (self.shared is None):
-            raise ValueError("secondary config and shared-feature models go together")
-        if self.secondary is not None:
-            object.__setattr__(self, "shared", tuple(self.shared))
-            if len(self.shared) != self.secondary.k or self.secondary.k != self.primary.k:
-                raise ValueError("stage counts must match across applications")
-            if self.coupling == "twin":
-                if self.secondary.prior != self.primary.prior:
-                    raise ValueError("twin coupling requires equal priors")
-                for sh, st in zip(self.shared, self.primary.stages):
-                    if not (np.array_equal(sh.nominal.p0, st.nominal.p0)
-                            and np.array_equal(sh.nominal.p1, st.nominal.p1)):
-                        raise ValueError("twin coupling requires identical shared-feature models")
+        object.__setattr__(self, "shared", _check_pairing(self.primary, self.secondary, self.shared, self.coupling))
+
+
+def _check_pairing(primary: AppConfig, secondary: Optional[AppConfig], shared, coupling: str) -> Optional[tuple]:
+    """Validate how a secondary pairs with the primary; returns `shared` as a tuple.
+
+    The coupling is 'twin' or 'independent'; a secondary comes with one
+    shared-feature model per stage and has the primary's stage count.
+    Twin coupling also needs equal priors and shared-feature models equal
+    to the primary's own.  Raises ValueError otherwise.
+    """
+    if coupling not in ("twin", "independent"):
+        raise ValueError("coupling must be 'twin' or 'independent'")
+    if (secondary is None) != (shared is None):
+        raise ValueError("secondary config and shared-feature models go together")
+    if secondary is None:
+        return None
+    shared = tuple(shared)
+    if len(shared) != secondary.k or secondary.k != primary.k:
+        raise ValueError("stage counts must match across applications")
+    if coupling == "twin":
+        if secondary.prior != primary.prior:
+            raise ValueError("twin coupling requires equal priors")
+        for sh, st in zip(shared, primary.stages):
+            if not (np.array_equal(sh.nominal.p0, st.nominal.p0)
+                    and np.array_equal(sh.nominal.p1, st.nominal.p1)):
+                raise ValueError("twin coupling requires identical shared-feature models")
+    return shared
 
 
 @dataclass(frozen=True)
@@ -93,30 +108,23 @@ class TrialOutcome:
 # reachable-belief closures (exact grids for oracle comparisons)
 # ---------------------------------------------------------------------------
 
-def _stage_ratio_table(stage: StageModel) -> np.ndarray:
-    return likelihood_ratios(stage.effective)
+def _reachable(prior: float, stage_ratios) -> list[np.ndarray]:
+    sets = [np.array([prior])]
+    for ratios in stage_ratios:
+        ratios = ratios[~np.isnan(ratios)]
+        sets.append(np.unique(posterior_update_array(sets[-1][:, None], ratios[None, :]).ravel()))
+    return sets
 
 
 def reachable_beliefs_primary(app: AppConfig) -> list[np.ndarray]:
     """Distinct beliefs reachable after each stage (index 0 = prior only)."""
-    sets = [np.array([app.prior])]
-    for stage in app.stages:
-        ratios = _stage_ratio_table(stage)
-        ratios = ratios[~np.isnan(ratios)]
-        nxt = posterior_update_array(sets[-1][:, None], ratios[None, :])
-        sets.append(np.unique(nxt.ravel()))
-    return sets
+    return _reachable(app.prior, [likelihood_ratios(s.effective) for s in app.stages])
 
 
 def reachable_beliefs_secondary(app2: AppConfig, shared: Sequence[StageModel]) -> list[np.ndarray]:
     """Same closure, allowing either the own or the shared feature per stage."""
-    sets = [np.array([app2.prior])]
-    for own, sh in zip(app2.stages, shared):
-        ratios = np.concatenate([_stage_ratio_table(own), _stage_ratio_table(sh)])
-        ratios = ratios[~np.isnan(ratios)]
-        nxt = posterior_update_array(sets[-1][:, None], ratios[None, :])
-        sets.append(np.unique(nxt.ravel()))
-    return sets
+    return _reachable(app2.prior, [np.concatenate([likelihood_ratios(own.effective), likelihood_ratios(sh.effective)])
+                                   for own, sh in zip(app2.stages, shared)])
 
 
 def exact_grid_primary(app: AppConfig) -> Grid:
@@ -131,25 +139,29 @@ def exact_grid_secondary(app2: AppConfig, shared) -> Grid:
 # brute-force enumeration oracles
 # ---------------------------------------------------------------------------
 
-def _prefix_tree(models: list[ConditionalPmf], prior: float):
-    """Per stage: (beliefs, joint probs, parent index) of every feature prefix.
+def _observe(pis: np.ndarray, qs: np.ndarray, model: ConditionalPmf):
+    """Beliefs and joint probabilities after one feature from each (belief, probability) node.
 
     Probabilities are taken under the design measure: the evidence mixture
-    of the model actually used at each step, weighted by the running belief.
+    of the model actually used, weighted by the node's belief.
     """
+    sup = model.support()
+    p0, p1 = model.p0[sup], model.p1[sup]
+    ev = pis[:, None] * p1[None, :] + (1.0 - pis)[:, None] * p0[None, :]
+    nxt = posterior_update_array(pis[:, None], likelihood_ratios(model)[sup][None, :])
+    return nxt.ravel(), (qs[:, None] * ev).ravel()
+
+
+def _prefix_tree(models: list[ConditionalPmf], prior: float):
+    """Per stage: (beliefs, joint probs, parent index) of every feature prefix."""
     beliefs = [np.array([prior])]
     probs = [np.array([1.0])]
     parents = [np.array([0])]
     for model in models:
-        sup = model.support()
-        ratios = likelihood_ratios(model)[sup]
-        p0, p1 = model.p0[sup], model.p1[sup]
-        pi = beliefs[-1]
-        ev = pi[:, None] * p1[None, :] + (1.0 - pi)[:, None] * p0[None, :]
-        nxt = posterior_update_array(pi[:, None], ratios[None, :])
-        beliefs.append(nxt.ravel())
-        probs.append((probs[-1][:, None] * ev).ravel())
-        parents.append(np.repeat(np.arange(pi.size), sup.size))
+        b, q = _observe(beliefs[-1], probs[-1], model)
+        parents.append(np.repeat(np.arange(beliefs[-1].size), model.support().size))
+        beliefs.append(b)
+        probs.append(q)
     return beliefs, probs, parents
 
 
@@ -262,15 +274,6 @@ def _enumerate_secondary(
     own = [s.effective for s in app2.stages]
     sh = [s.effective for s in shared]
 
-    def stage_transition(nodes, model: ConditionalPmf):
-        pis, qs = nodes
-        sup = model.support()
-        ratios = likelihood_ratios(model)[sup]
-        p0, p1 = model.p0[sup], model.p1[sup]
-        ev = pis[:, None] * p1[None, :] + (1.0 - pis)[:, None] * p0[None, :]
-        nxt = posterior_update_array(pis[:, None], ratios[None, :])
-        return nxt.ravel(), (qs[:, None] * ev).ravel()
-
     def final_cost(nodes):
         pis, qs = nodes
         cands = _threshold_candidates(pis)
@@ -279,8 +282,6 @@ def _enumerate_secondary(
         return float((qs[:, None] * term).sum(axis=0).min())
 
     def recurse(stage, nodes, acc):
-        if acc >= best[0]:
-            pass  # keep enumerating; pruning values only, count stays exact
         if stage == k:
             total = acc + final_cost(nodes)
             best[0] = min(best[0], total)
@@ -293,7 +294,7 @@ def _enumerate_secondary(
                 count[0] += 1
                 model = sh[0] if choice == USE_SHARED else own[0]
                 cost = lam * app2.stages[0].cost_mj if choice == USE_OWN else 0.0
-                recurse(1, stage_transition(nodes, model), acc + cost)
+                recurse(1, _observe(*nodes, model), acc + cost)
             return
 
         cands = _threshold_candidates(pis)
@@ -326,9 +327,9 @@ def _enumerate_secondary(
                         cost = lam * app2.stages[stage].cost_mj * float(live[1][use_own].sum())
                         parts = []
                         if (~use_own).any():
-                            parts.append(stage_transition((live[0][~use_own], live[1][~use_own]), sh[stage]))
+                            parts.append(_observe(live[0][~use_own], live[1][~use_own], sh[stage]))
                         if use_own.any():
-                            parts.append(stage_transition((live[0][use_own], live[1][use_own]), own[stage]))
+                            parts.append(_observe(live[0][use_own], live[1][use_own], own[stage]))
                         nxt = (
                             np.concatenate([p[0] for p in parts]),
                             np.concatenate([p[1] for p in parts]),
@@ -339,7 +340,7 @@ def _enumerate_secondary(
                     if count[0] > ENUMERATION_CAP:
                         raise EnumerationCapError("secondary policy enumeration over cap")
                     cost = lam * app2.stages[stage].cost_mj * float(live[1].sum())
-                    recurse(stage + 1, stage_transition(live, own[stage]), acc + loss + cost)
+                    recurse(stage + 1, _observe(*live, own[stage]), acc + loss + cost)
 
     recurse(0, (np.array([app2.prior]), np.array([1.0])), 0.0)
     return best[0], count[0]
@@ -347,13 +348,8 @@ def _enumerate_secondary(
 
 def _oracle(system: CascadeSystem, primary_result, augmented: bool, prepared=None):
     if prepared is None:
-        app1 = robustify_app(system.primary)
-        app2 = shared = None
-        if system.secondary is not None:
-            app2 = robustify_app(system.secondary)
-            shared = tuple(robustify_app(replace(system.secondary, stages=system.shared)).stages)
-    else:
-        app1, app2, shared = prepared
+        prepared = robustify_system(system.primary, system.secondary, system.shared)
+    app1, app2, shared = prepared
     sweep = augmented_primary if augmented else brute_force_primary
     out = {}
     out["primary_risk"], out["primary_policies"] = sweep(app1, system.lam)
@@ -399,18 +395,11 @@ def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x - grid[lo] <= grid[pos] - x, lo, pos)
 
 
-def _lookup_continue(result: PrimaryResult, i: int, pi: np.ndarray) -> np.ndarray:
-    """Stage-i continue decision: exact grid actions, threshold off-grid."""
-    g = result.grid.points
-    pos = np.clip(np.searchsorted(g, pi), 0, g.size - 1)
-    exact = g[pos] == pi
-    return np.where(exact, result.continue_mask[i - 1][pos], pi >= result.thresholds[i - 1])
-
-
-def _lookup_declare(declare_mask: np.ndarray, grid: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
+def _lookup_rule(grid: np.ndarray, mask: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
+    """A threshold rule on a grid: the stored action at an exact grid node, `pi >= threshold` elsewhere."""
     pos = np.clip(np.searchsorted(grid, pi), 0, grid.size - 1)
     exact = grid[pos] == pi
-    return np.where(exact, declare_mask[pos], pi >= threshold)
+    return np.where(exact, mask[pos], pi >= threshold)
 
 
 def _lookup_with_action(result: SecondaryResult, i: int, pi2: np.ndarray, pi1: np.ndarray) -> np.ndarray:
@@ -421,13 +410,6 @@ def _lookup_with_action(result: SecondaryResult, i: int, pi2: np.ndarray, pi1: n
     i2 = np.where(exact, p2, _nearest_index(g2, pi2))
     i1 = np.where(exact, p1, _nearest_index(g1, pi1))
     return result.actions_with[i - 1][i2, i1]
-
-
-def _lookup_without_continue(result: SecondaryResult, i: int, pi2: np.ndarray) -> np.ndarray:
-    g2 = result.grid2.points
-    pos = np.clip(np.searchsorted(g2, pi2), 0, g2.size - 1)
-    exact = g2[pos] == pi2
-    return np.where(exact, result.actions_without[i - 1][pos], pi2 >= result.tau_without[i - 1])
 
 
 @dataclass
@@ -487,12 +469,10 @@ def simulate(
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    app1 = robustify_app(system.primary)
-    k = app1.k
     has2 = system.secondary is not None and secondary_result is not None
-    if has2:
-        app2 = robustify_app(system.secondary)
-        shared = tuple(robustify_app(replace(system.secondary, stages=system.shared)).stages)
+    app1, app2, shared = robustify_system(
+        system.primary, system.secondary if has2 else None, system.shared if has2 else None)
+    k = app1.k
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((n_trials, 2 + 2 * k))
@@ -551,7 +531,8 @@ def simulate(
         if i == k:
             break
 
-        go1 = _lookup_continue(primary_result, i, pi1) & alive1
+        go1 = _lookup_rule(primary_result.grid.points, primary_result.continue_mask[i - 1],
+                           primary_result.thresholds[i - 1], pi1) & alive1
         newly_stopped = alive1 & ~go1
         stop_stage1[newly_stopped] = i
         acts1[alive1, i - 1] = np.where(go1[alive1], "F", "0")
@@ -563,7 +544,8 @@ def simulate(
             act = np.where(
                 avail,
                 _lookup_with_action(secondary_result, i, pi2, pi1),
-                np.where(_lookup_without_continue(secondary_result, i, pi2), USE_OWN, STOP),
+                np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.actions_without[i - 1],
+                                      secondary_result.tau_without[i - 1], pi2), USE_OWN, STOP),
             )
             act = np.where(alive2, act, -1)
             stopping2 = alive2 & (act == STOP)
@@ -575,8 +557,8 @@ def simulate(
             forced_solo = forced_solo | ~go1
             alive2 = going2
 
-    declared1 = _lookup_declare(primary_result.declare_mask, primary_result.grid.points,
-                                primary_result.thresholds[k - 1], pi1)
+    declared1 = _lookup_rule(primary_result.grid.points, primary_result.declare_mask,
+                             primary_result.thresholds[k - 1], pi1)
     xhat1 = alive1 & declared1
     acts1[alive1, k - 1] = np.where(declared1[alive1], "1", "0")
 
@@ -586,8 +568,8 @@ def simulate(
 
     est2 = None
     if has2:
-        declared2 = _lookup_declare(secondary_result.declare_mask, secondary_result.grid2.points,
-                                    secondary_result.final_threshold, pi2)
+        declared2 = _lookup_rule(secondary_result.grid2.points, secondary_result.declare_mask,
+                                 secondary_result.final_threshold, pi2)
         xhat2 = alive2 & declared2
         acts2[alive2, k] = np.where(declared2[alive2], "1", "0")
         miss2 = app2.miss_cost * (x2 & ~xhat2)
@@ -670,29 +652,24 @@ def twin_experiment(
     no-sharing ablation (shared feature removed).  When `trials` > 0 a
     Monte Carlo cross-check is appended to each row.
     """
-    from .budget import solve_lambda  # local import to avoid a cycle
-
     if (lam is None) == (budget is None):
         raise ValueError("provide exactly one of lam or budget")
+    # robustification does not depend on the prior, and a twin's secondary
+    # and shared-feature models are the primary's own
+    robust_app, _, _ = robustify_system(base_app)
     rows = []
     for p in prior_sweep:
-        app1 = replace(base_app, prior=float(p))
-        app2 = replace(base_app, prior=float(p))
+        nominal = replace(base_app, prior=float(p))
+        app = replace(robust_app, prior=float(p))
         if budget is not None:
-            sol = solve_lambda(budget, app1, grid, secondary_app=app2, shared_stages=base_app.stages)
-            lam_p = sol.lam
+            lam_p = _solve_robustified(budget, grid, app, app, app.stages).lam
         else:
             lam_p = float(lam)
-        r_app1 = robustify_app(app1)
-        r_app2 = robustify_app(app2)
-        shared = r_app1.stages
-        pr = optimize_primary(r_app1, lam_p, grid)
-        sr = optimize_secondary(r_app2, shared, pr, lam_p)
-        b1, en1, _ = forward_primary(pr, r_app1)
-        b2, en2, _ = forward_secondary(sr, r_app2, shared, r_app1.prior)
-
-        solo = optimize_primary(r_app2, lam_p, grid)
-        b2a, en2a, _ = forward_primary(solo, r_app2)
+        pr = optimize_primary(app, lam_p, grid)
+        sr = optimize_secondary(app, app.stages, pr, lam_p)
+        b1, en1, _ = forward_primary(pr, app)
+        b2, en2, _ = forward_secondary(sr, app, app.stages, app.prior)
+        b2a = b1  # without the shared feature the secondary is the primary's exact twin
 
         row = TwinRow(
             prior=float(p),
@@ -711,8 +688,8 @@ def twin_experiment(
             resource2_weighted=b2.weighted_resource,
         ).__dict__
         if trials > 0:
-            system = CascadeSystem(app1, lam_p, secondary=app2,
-                                   shared=base_app.stages, coupling="twin")
+            system = CascadeSystem(nominal, lam_p, secondary=nominal,
+                                   shared=nominal.stages, coupling="twin")
             rep = simulate(system, pr, sr, n_trials=trials, seed=seed)
             row.update(
                 sim_risk1=rep.primary.risk_mean,

@@ -124,6 +124,34 @@ class TestSolveLambda:
             cheaper, _ = _consumption(sol.lam * 0.98, rapp, grid, None, None)
             assert cheaper >= sol.e1_mj - 1e-12
 
+    def test_search_stops_at_the_first_midpoint_within_tolerance(self, rng, monkeypatch):
+        """With tolerance 1 every feasible midpoint qualifies, so the first one is returned."""
+        from cascadeshare import budget
+
+        app = self._app(rng)
+        rapp = robustify_app(app)
+        grid = Grid.uniform(101)
+        e_ref, _ = budget._consumption(0.05, rapp, grid, None, None)
+        spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0), tolerance=1.0)
+        target = spec.budget_mj - spec.baseline_mj
+
+        lo, hi = spec.lambda_bracket
+        midpoints = 0
+        while True:
+            mid = 0.5 * (lo + hi)
+            midpoints += 1
+            if budget._consumption(mid, rapp, grid, None, None)[0] <= target:
+                break
+            lo = mid
+
+        calls = []
+        original = budget._consumption
+        monkeypatch.setattr(budget, "_consumption", lambda *a, **kw: calls.append(a[0]) or original(*a, **kw))
+        sol = solve_lambda(spec, app, grid)
+        assert sol.lam == mid and not sol.slack
+        assert sol.e1_mj <= target
+        assert len(calls) == 2 + midpoints < 10
+
     def test_reused_operators_give_the_same_consumption(self, rng):
         """Operators built once for the search price exactly like fresh ones."""
         from cascadeshare.budget import _consumption

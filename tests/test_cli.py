@@ -183,6 +183,38 @@ class TestBudgetOverride:
         assert json.loads(proc.stderr)["error"] == "config_error"
 
 
+class TestRobustifyOnce:
+    """`optimize` robustifies each of the system's three stage sets once."""
+
+    def _count_robustified_stages(self, monkeypatch, capsys, tmp_path, config, *extra):
+        from cascadeshare import cli, robust
+
+        seen = []
+        original = robust.robustify_stage
+
+        def counting(stage):
+            seen.append(stage)
+            return original(stage)
+
+        monkeypatch.setattr(robust, "robustify_stage", counting)
+        assert cli.main(["optimize", "--config", str(config), *extra, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        return len(seen)
+
+    def test_with_lambda(self, monkeypatch, capsys, tmp_path):
+        k = len(json.loads(CONFIG.read_text())["primary"]["stages"])
+        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, CONFIG) == 3 * k
+
+    def test_with_budget_block(self, monkeypatch, capsys, tmp_path):
+        doc = json.loads(CONFIG.read_text())
+        del doc["lambda"]
+        doc["budget"] = {"budget_mJ": 45.0, "baseline_mJ": 0.1152}
+        config = tmp_path / "budget.json"
+        config.write_text(json.dumps(doc))
+        k = len(doc["primary"]["stages"])
+        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, config) == 3 * k
+
+
 class TestEstimate:
     def test_pmf_from_stream(self, tmp_path):
         stream = tmp_path / "scores.csv"
@@ -221,6 +253,15 @@ class TestErrorPaths:
         bad.write_text(json.dumps(doc))
         proc = run_cli("optimize", "--config", str(bad), "--out-dir", str(tmp_path))
         assert proc.returncode == 2
+
+    def test_unknown_coupling_rejected_at_load(self, tmp_path):
+        doc = json.loads(CONFIG.read_text())
+        doc["coupling"] = "foo"
+        bad = tmp_path / "coupling.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("optimize", "--config", str(bad), "--out-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "config_error"
 
     def test_degenerate_uncertainty_exits_3(self, tmp_path):
         doc = json.loads(CONFIG.read_text())

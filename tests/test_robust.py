@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from cascadeshare.robust import (
     _transform_coeffs,
     posterior_bounds,
     robustify,
+    robustify_app,
     robustify_app_stages,
     robustify_stage,
+    robustify_system,
     solve_breakpoints,
 )
 
-from conftest import random_pmf, random_uncertainty
+from conftest import random_app, random_pmf, random_uncertainty
 
 
 def grid_search_breakpoints(model, u, rounds=6, width=160):
@@ -506,3 +509,63 @@ class TestBisectionOracle:
         with pytest.raises(DegenerateUncertaintyError, match="degenerate"):
             solve_breakpoints(m, u)
         assert time.perf_counter() - t0 < 0.05
+
+
+def hand_written_triple(primary, secondary, shared):
+    """The robustified system as callers used to write it out, stage set by stage set."""
+    app1 = robustify_app(primary)
+    if secondary is None:
+        return app1, None, None
+    app2 = robustify_app(secondary)
+    return app1, app2, tuple(robustify_app(replace(secondary, stages=shared)).stages)
+
+
+def assert_stages_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.uncertainty == b.uncertainty and a.cost_mj == b.cost_mj
+        assert a.breakpoints == b.breakpoints
+        for name in ("nominal", "robust"):
+            for side in ("p0", "p1"):
+                assert getattr(getattr(a, name), side).tobytes() == getattr(getattr(b, name), side).tobytes()
+
+
+class TestRobustifySystem:
+    """`robustify_system` against the hand-written triple, bit for bit."""
+
+    def _assert_matches(self, primary, secondary, shared):
+        got = robustify_system(primary, secondary, shared)
+        want = hand_written_triple(primary, secondary, shared)
+        assert_stages_bitwise_equal(got[0].stages, want[0].stages)
+        assert (got[0].prior, got[0].miss_cost, got[0].fa_cost) == (primary.prior, primary.miss_cost, primary.fa_cost)
+        if secondary is None:
+            assert got[1:] == (None, None)
+            return
+        assert_stages_bitwise_equal(got[1].stages, want[1].stages)
+        assert (got[1].prior, got[1].miss_cost, got[1].fa_cost) == (
+            secondary.prior, secondary.miss_cost, secondary.fa_cost)
+        assert isinstance(got[2], tuple)
+        assert_stages_bitwise_equal(got[2], want[2])
+
+    def test_twin(self, rng):
+        for _ in range(5):
+            app = random_app(rng)
+            self._assert_matches(app, app, app.stages)
+            # a twin's shared models are the primary's own robustified stages
+            assert_stages_bitwise_equal(robustify_system(app, app, app.stages)[2], robustify_app(app).stages)
+
+    def test_independent(self, rng):
+        for _ in range(5):
+            app1 = random_app(rng, k=3, u_scale=0.03)
+            app2 = random_app(rng, k=3, u_scale=0.03)
+            shared = tuple(replace(s, cost_mj=0.0) for s in random_app(rng, k=3, u_scale=0.03).stages)
+            self._assert_matches(app1, app2, shared)
+
+    def test_primary_only(self, rng):
+        for _ in range(5):
+            self._assert_matches(random_app(rng), None, None)
+
+    def test_secondary_needs_shared_models(self, rng):
+        app = random_app(rng, k=2)
+        with pytest.raises(ValueError, match="shared-feature models"):
+            robustify_system(app, app, None)
