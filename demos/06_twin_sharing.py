@@ -16,7 +16,7 @@ from cascadeshare.cli import load_config
 cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"))
 rows = twin_experiment(cfg.primary, cfg.priors, Grid.uniform(cfg.grid_m), lam=cfg.lam)
 
-print(f"lambda = {cfg.lam}, grid M = {cfg.grid_m}, priors {cfg.priors}\n")
+print(f"lambda = {cfg.lam}, grid M = {cfg.grid_m}, priors {list(cfg.priors)}\n")
 print(f"{'prior':>6} {'E1 mJ':>9} {'E2 mJ':>9} {'saving':>8} "
       f"{'risk2 shared':>13} {'risk2 ablated':>14}")
 for r in rows:

@@ -42,7 +42,6 @@ from .dp import (
     cascade_optimality_primary,
     cascade_optimality_secondary,
     check_sharing_condition,
-    eval_policy_risk,
     optimize_primary,
     optimize_secondary,
 )

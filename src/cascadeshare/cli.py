@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -29,11 +30,12 @@ from .robust import (
     StageModel,
     UncertaintyParams,
     robustify_app,
-    robustify_system,
     stage_model_to_json,
 )
 from .dp import (
     Grid,
+    PrimaryResult,
+    SecondaryResult,
     cascade_optimality_primary,
     cascade_optimality_secondary,
     check_sharing_condition,
@@ -42,12 +44,11 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import (BracketFailureError, BudgetSpec, _solve_robustified, cost_from_components,
-                     expected_resource, solve_lambda)
+from .budget import (BracketFailureError, BudgetSpec, LambdaSolution, _solve_robustified,
+                     cost_from_components, expected_resource, solve_lambda)
 from .sim import (
     CascadeSystem,
     EnumerationCapError,
-    _check_pairing,
     augmented_optimum,
     brute_force_optimum,
     simulate,
@@ -86,141 +87,122 @@ def _app_from_doc(doc: dict) -> AppConfig:
     )
 
 
-@dataclass
-class SystemConfig:
-    """Parsed and validated run configuration."""
-
-    primary: AppConfig
-    secondary: Optional[AppConfig]
-    shared: Optional[tuple]
-    grid_m: int
-    lam: Optional[float]
-    budget: Optional[BudgetSpec]
-    coupling: str
-    seed: int
-    trials: int
-    priors: list
-    baseline_mj: float = 0.0
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SystemConfig":
-        if ("lambda" in doc) == ("budget" in doc):
-            raise ConfigError("exactly one of 'lambda' or 'budget' must be present")
-        budget = None
-        if "budget" in doc:
-            b = doc["budget"]
-            budget = BudgetSpec(
-                budget_mj=float(b["budget_mJ"]),
-                baseline_mj=float(b.get("baseline_mJ", 0.0)),
-                lambda_bracket=tuple(b.get("lambda_bracket", (0.0, 1.0))),
-                tolerance=float(b.get("tolerance", 1e-3)),
-            )
-        primary = _app_from_doc(doc["primary"])
-        secondary = shared = None
-        if "secondary" in doc:
-            secondary = _app_from_doc(doc["secondary"])
-            if "shared" in doc["secondary"]:
-                shared = tuple(_stage_from_doc(s) for s in doc["secondary"]["shared"])
-        coupling = doc.get("coupling", "twin")
-        _check_pairing(primary, secondary, shared, coupling)
-        if budget is not None:
-            baseline = budget.baseline_mj
-        elif "baseline_mW" in doc:
-            baseline = float(doc["baseline_mW"]) * float(doc.get("frame_ms", 32.0)) / 1000.0
-        else:
-            baseline = float(doc.get("baseline_mJ", 0.0))
-        return cls(
-            primary=primary,
-            secondary=secondary,
-            shared=shared,
-            grid_m=int(doc.get("grid_m", 100)),
-            lam=float(doc["lambda"]) if "lambda" in doc else None,
-            budget=budget,
-            coupling=coupling,
-            seed=int(doc.get("seed", 0)),
-            trials=int(doc.get("trials", 100_000)),
-            priors=[float(p) for p in doc.get("priors", [])],
-            baseline_mj=baseline,
+def _system_from_doc(doc: dict) -> CascadeSystem:
+    """The system a parsed config document describes; raises on invalid input."""
+    budget = None
+    if "budget" in doc:
+        b = doc["budget"]
+        budget = BudgetSpec(
+            budget_mj=float(b["budget_mJ"]),
+            baseline_mj=float(b.get("baseline_mJ", 0.0)),
+            lambda_bracket=tuple(b.get("lambda_bracket", (0.0, 1.0))),
+            tolerance=float(b.get("tolerance", 1e-3)),
         )
+    secondary = shared = None
+    if "secondary" in doc:
+        secondary = _app_from_doc(doc["secondary"])
+        if "shared" in doc["secondary"]:
+            shared = tuple(_stage_from_doc(s) for s in doc["secondary"]["shared"])
+    if budget is not None:
+        baseline = budget.baseline_mj
+    elif "baseline_mW" in doc:
+        baseline = float(doc["baseline_mW"]) * float(doc.get("frame_ms", 32.0)) / 1000.0
+    else:
+        baseline = float(doc.get("baseline_mJ", 0.0))
+    return CascadeSystem(
+        _app_from_doc(doc["primary"]),
+        float(doc["lambda"]) if "lambda" in doc else None,
+        secondary=secondary,
+        shared=shared,
+        coupling=doc.get("coupling", "twin"),
+        budget=budget,
+        baseline_mj=baseline,
+        grid_m=int(doc.get("grid_m", 100)),
+        seed=int(doc.get("seed", 0)),
+        trials=int(doc.get("trials", 100_000)),
+        priors=tuple(float(p) for p in doc.get("priors", [])),
+    )
 
 
-def load_config(path: str) -> SystemConfig:
+def load_config(path: str) -> CascadeSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return SystemConfig.from_json(doc)
+        return _system_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
-def _run_config(args) -> SystemConfig:
-    """The command's config, with a `--budget-mJ` override installed as its budget.
+def _run_config(args) -> CascadeSystem:
+    """The command's system, with its `--lambda`, `--budget-mJ` and `--grid` overrides installed.
 
-    The override replaces the config's multiplier or budget amount and
-    keeps its baseline, bracket and tolerance, so every command solves the
-    budget itself: `budget.json` reports the solution and `twin` solves one
-    multiplier per prior.
+    A `--budget-mJ` override replaces the config's multiplier or budget
+    amount and keeps its baseline, bracket and tolerance, so every command
+    solves the budget itself: `budget.json` reports the solution and `twin`
+    solves one multiplier per prior.  A `--lambda` override replaces the
+    budget.
     """
-    cfg = load_config(args.config)
+    system = load_config(args.config)
+    if args.grid:
+        system = replace(system, grid_m=int(args.grid))
     if args.budget_mj is None:
-        return cfg
+        return system if args.lam is None else replace(system, lam=args.lam, budget=None)
     if args.lam is not None:
         raise ConfigError("give either --lambda or --budget-mJ, not both")
-    if cfg.budget is not None:
-        spec = replace(cfg.budget, budget_mj=float(args.budget_mj))
+    if system.budget is not None:
+        spec = replace(system.budget, budget_mj=float(args.budget_mj))
     else:
-        spec = BudgetSpec(budget_mj=float(args.budget_mj), baseline_mj=cfg.baseline_mj)
-    return replace(cfg, lam=None, budget=spec)
+        spec = BudgetSpec(budget_mj=float(args.budget_mj), baseline_mj=system.baseline_mj)
+    return replace(system, lam=None, budget=spec)
 
 
 @dataclass
 class Solved:
-    lam: float
-    grid: Grid
-    app1: AppConfig
-    app2: Optional[AppConfig]
-    shared: Optional[tuple]
-    primary: "object"
-    secondary: "object"
-    budget_solution: Optional[object]
-    baseline_mj: float = 0.0
+    """A system at its solved multiplier, and the policies the solve produced."""
+
+    system: CascadeSystem
+    primary: PrimaryResult
+    secondary: Optional[SecondaryResult]
+    budget_solution: Optional[LambdaSolution]
+
+    @property
+    def lam(self) -> float:
+        return self.system.lam
+
+    @property
+    def app1(self) -> AppConfig:
+        return self.system.robustified[0]
+
+    @property
+    def app2(self) -> Optional[AppConfig]:
+        return self.system.robustified[1]
+
+    @property
+    def shared(self) -> Optional[tuple]:
+        return self.system.robustified[2]
 
 
-def solve_system(cfg: SystemConfig, lam_override=None, grid_override=None) -> Solved:
-    """Robustify the config's system once, solve its multiplier if it has a budget, and optimize."""
-    grid = Grid.uniform(int(grid_override) if grid_override else cfg.grid_m)
-    app1, app2, shared = robustify_system(cfg.primary, cfg.secondary, cfg.shared)
+def solve_system(system: CascadeSystem) -> Solved:
+    """Solve the system's multiplier if it has a budget, then optimize both applications."""
+    grid = Grid.uniform(system.grid_m)
+    app1, app2, shared = system.robustified
     budget_solution = None
-    if lam_override is not None:
-        lam = float(lam_override)
-    elif cfg.lam is not None:
-        lam = cfg.lam
-    else:
-        budget_solution = _solve_robustified(cfg.budget, grid, app1, app2, shared)
-        lam = budget_solution.lam
-
-    pr = optimize_primary(app1, lam, grid)
-    sr = None if app2 is None else optimize_secondary(app2, shared, pr, lam)
-    return Solved(lam, grid, app1, app2, shared, pr, sr, budget_solution, cfg.baseline_mj)
+    if system.lam is None:
+        budget_solution = _solve_robustified(system.budget, grid, app1, app2, shared)
+        system = system.at(lam=budget_solution.lam)
+    pr = optimize_primary(app1, system.lam, grid)
+    sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
+    return Solved(system, pr, sr, budget_solution)
 
 
-def _system(cfg: SystemConfig, lam: float) -> CascadeSystem:
-    """The config's nominal system at multiplier `lam`."""
-    return CascadeSystem(cfg.primary, lam, secondary=cfg.secondary, shared=cfg.shared, coupling=cfg.coupling)
-
-
-def _priors(args, cfg: SystemConfig) -> list:
+def _priors(args, system: CascadeSystem) -> list:
     """The prior sweep: `--priors`, else the config's list, else its primary prior."""
     if args.priors:
         return [float(p) for p in args.priors.split(",")]
-    return cfg.priors or [cfg.primary.prior]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+    return list(system.priors) or [system.primary.prior]
 
 
 def _jsonable(obj):
@@ -241,19 +223,28 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
+def _csv_field(v) -> str:
+    """One CSV field as `csv.writer` writes it, with floats in shortest round-trip form."""
+    if isinstance(v, float):
+        return repr(float(v))
+    if v is None:
+        return ""
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.writelines(",".join(map(_csv_field, row)) + "\n" for row in chain([header], rows))
 
 
 def policy_to_json(solved: Solved) -> dict:
     pr = solved.primary
     doc = {
         "lambda": solved.lam,
-        "grid_m": solved.grid.m,
+        "grid_m": pr.grid.m,
         "primary": {
             "thresholds": [float(t) for t in pr.thresholds],
             "bounds": [[lo, hi] for lo, hi in pr.bounds],
@@ -290,49 +281,43 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
         )
     if solved.secondary is not None:
         sr = solved.secondary
+        g2, g1 = sr.grid2.points, sr.grid1.points
+        pi2, pi1 = np.repeat(g2, g1.size).tolist(), np.tile(g1, g2.size).tolist()
         for i in range(sr.without_values.shape[0]):
             _write_csv(
                 out_dir / f"values2_without_stage_{i}.csv",
                 ["pi2", "value"],
-                zip(sr.grid2.points.tolist(), sr.without_values[i].tolist()),
+                zip(g2.tolist(), sr.without_values[i].tolist()),
             )
-            rows = []
-            for a, pi2 in enumerate(sr.grid2.points.tolist()):
-                for b, pi1 in enumerate(sr.grid1.points.tolist()):
-                    rows.append((pi2, pi1, float(sr.with_values[i][a, b])))
-            _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"], rows)
+            _write_csv(
+                out_dir / f"values2_with_stage_{i}.csv",
+                ["pi2", "pi1", "value"],
+                zip(pi2, pi1, sr.with_values[i].ravel().tolist()),
+            )
 
     e1, e2, total = expected_resource(
         solved.primary, solved.app1, solved.secondary, solved.app2, solved.shared,
-        baseline_mj=solved.baseline_mj,
+        baseline_mj=solved.system.baseline_mj,
     )
-    budget_doc = {
-        "lambda": solved.lam,
-        "E1_mJ": e1,
-        "E2_mJ": e2,
-        "baseline_mJ": solved.baseline_mj,
-        "total_mJ": total,
-        "slack": solved.budget_solution.slack if solved.budget_solution else False,
-    }
-    _write_json(out_dir / "budget.json", budget_doc)
+    slack = solved.budget_solution.slack if solved.budget_solution else False
+    solution = LambdaSolution(solved.lam, e1, e2, solved.system.baseline_mj, total, slack)
+    _write_json(out_dir / "budget.json", solution.to_json())
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _run_config(args)
-    solved = solve_system(cfg, args.lam, args.grid)
+    solved = solve_system(_run_config(args))
     emit_optimize_artifacts(solved, Path(args.out_dir))
     print(json.dumps({"status": "ok", "lambda": solved.lam, "out_dir": args.out_dir}))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    solved = solve_system(cfg, args.lam, args.grid)
-    trials = args.trials if args.trials else cfg.trials
-    seed = args.seed if args.seed is not None else cfg.seed
+    solved = solve_system(_run_config(args))
+    system = solved.system
     report = simulate(
-        _system(cfg, solved.lam), solved.primary, solved.secondary,
-        n_trials=trials, seed=seed,
+        system, solved.primary, solved.secondary,
+        n_trials=args.trials if args.trials else system.trials,
+        seed=args.seed if args.seed is not None else system.seed,
         no_sharing=args.no_sharing, collect_trials=args.dump_trials,
     )
     out_dir = Path(args.out_dir)
@@ -363,14 +348,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_twin(args) -> int:
-    cfg = _run_config(args)
-    priors = _priors(args, cfg)
-    grid = Grid.uniform(int(args.grid) if args.grid else cfg.grid_m)
-    lam = args.lam if args.lam is not None else cfg.lam
+    system = _run_config(args)
     rows = twin_experiment(
-        cfg.primary, priors, grid,
-        lam=lam, budget=None if lam is not None else cfg.budget,
-        trials=args.trials or 0, seed=args.seed if args.seed is not None else cfg.seed,
+        system.primary, _priors(args, system), Grid.uniform(system.grid_m),
+        lam=system.lam, budget=system.budget,
+        trials=args.trials or 0, seed=args.seed if args.seed is not None else system.seed,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,8 +386,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _run_config(args)
-    solved = solve_system(cfg, args.lam, args.grid)
+    solved = solve_system(_run_config(args))
     doc = {"lambda": solved.lam}
     doc["cascade_optimality_primary"] = cascade_optimality_primary(solved.primary, solved.app1)
     if solved.secondary is not None:
@@ -418,10 +399,8 @@ def _cmd_check(args) -> int:
         doc["sharing_all_pass"] = all(c.passes for c in checks)
         doc["cascade_optimality_secondary"] = cascade_optimality_secondary(solved.secondary, solved.app2)
     if args.allow_early_positive:
-        system = _system(cfg, solved.lam)
-        prepared = (solved.app1, solved.app2, solved.shared)
-        base = brute_force_optimum(system, prepared=prepared)
-        aug = augmented_optimum(system, prepared=prepared)
+        base = brute_force_optimum(solved.system)
+        aug = augmented_optimum(solved.system)
         doc["early_positive_experiment"] = {
             "cascade_optimum": base["total_risk"],
             "augmented_optimum": aug["total_risk"],
@@ -435,16 +414,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _run_config(args)
-    priors = _priors(args, cfg)
+    system = _run_config(args)
     rows = []
-    for p in priors:
-        cfg_p = replace(
-            cfg,
-            primary=replace(cfg.primary, prior=p),
-            secondary=replace(cfg.secondary, prior=p) if cfg.secondary else None,
-        )
-        solved = solve_system(cfg_p, args.lam, args.grid)
+    for p in _priors(args, system):
+        solved = solve_system(system.at(prior=p))
         b1, e1, _ = forward_primary(solved.primary, solved.app1)
         row = {
             "prior": p, "lambda": solved.lam,

@@ -596,33 +596,3 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
     fa = ca * float((total2 * pos) @ (1.0 - b2))
     breakdown = RiskBreakdown(miss, fa, lam * energy)
     return breakdown, energy, np.asarray(own_probs)
-
-
-def eval_policy_risk(
-    primary_result: PrimaryResult,
-    app: AppConfig,
-    secondary_result: Optional[SecondaryResult] = None,
-    app2: Optional[AppConfig] = None,
-    shared_stages=None,
-) -> dict:
-    """Risk breakdowns per application under the design measure.
-
-    Each forward pass applies the adjoint of the operators the backward
-    optimization used and follows its recorded actions, so each total
-    matches the corresponding stage-0 value up to floating-point roundoff.
-    The secondary pass carries mass on the two primary columns around the
-    primary prior only.
-    """
-    out = {}
-    breakdown, energy, cont = forward_primary(primary_result, app)
-    out["primary"] = breakdown
-    out["primary_energy_mJ"] = energy
-    out["primary_continue_probs"] = cont
-    if secondary_result is not None:
-        if app2 is None or shared_stages is None:
-            raise ValueError("secondary evaluation needs app2 and shared_stages")
-        b2, e2, own = forward_secondary(secondary_result, app2, shared_stages, app.prior)
-        out["secondary"] = b2
-        out["secondary_energy_mJ"] = e2
-        out["secondary_own_probs"] = own
-    return out

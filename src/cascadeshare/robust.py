@@ -265,6 +265,8 @@ def robustify_system(primary, secondary=None, shared=None) -> tuple:
     replaced by their least-favorable versions; the shared models form a
     stage chain of their own, whose last stage is trusted as-is like any
     final stage.  Without a secondary the last two entries are None.
+    A secondary or shared chain that is the primary's own object (a twin
+    cloned from one application) reuses the primary's robustified models.
     This is the one place a system gets robustified.
     """
     app1 = robustify_app(primary)
@@ -272,7 +274,9 @@ def robustify_system(primary, secondary=None, shared=None) -> tuple:
         return app1, None, None
     if shared is None:
         raise ValueError("a secondary application needs its shared-feature models")
-    app2 = robustify_app(secondary)
+    app2 = app1 if secondary is primary else robustify_app(secondary)
+    if shared is primary.stages:
+        return app1, app2, app1.stages
     return app1, app2, robustify_app(replace(secondary, stages=shared)).stages
 
 

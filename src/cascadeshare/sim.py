@@ -1,4 +1,8 @@
-"""Monte Carlo validation, exhaustive tiny-instance oracles, twin experiment.
+"""The system description, Monte Carlo validation, exhaustive tiny-instance oracles, twin experiment.
+
+`CascadeSystem` is the one description of a two-application system and of
+how to run it; the commands, the oracles and the simulator all read their
+planning models from it.
 
 The Monte Carlo harness draws target states and features from the nominal
 models (robustification is a design-time hedge, not a generative claim) and
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +37,7 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import _solve_robustified
+from .budget import BudgetSpec, _solve_robustified
 
 ENUMERATION_CAP = 10_000_000
 
@@ -43,22 +48,65 @@ class EnumerationCapError(ValueError):
 
 @dataclass(frozen=True)
 class CascadeSystem:
-    """A full two-application instance (secondary optional) plus lambda.
+    """One two-application system (secondary optional) and how to run it.
 
-    Twin coupling forces the secondary target to equal the primary target
-    and requires the shared-feature models to match the primary's own.
+    It holds the nominal models, the coupling, and the run settings: exactly
+    one of the multiplier `lam` and an energy `budget` to solve it from,
+    the always-on `baseline_mj`, the belief grid size, the Monte Carlo seed
+    and trial count, and a prior sweep.  Twin coupling forces the secondary
+    target to equal the primary target and requires the shared-feature
+    models to match the primary's own.
+
+    The planning models (`robustified`) are computed once, on first use,
+    and `at` carries them to copies at another prior or multiplier.
     """
 
     primary: AppConfig
-    lam: float
+    lam: Optional[float]
     secondary: Optional[AppConfig] = None
     shared: Optional[tuple] = None
     coupling: str = "twin"
+    budget: Optional[BudgetSpec] = None
+    baseline_mj: float = 0.0
+    grid_m: int = 100
+    seed: int = 0
+    trials: int = 100_000
+    priors: tuple = ()
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if (self.lam is None) == (self.budget is None):
+            raise ValueError("exactly one of lambda and budget must be given")
+        if self.lam is not None:
+            if self.lam < 0:
+                raise ValueError("lambda must be nonnegative")
+            object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "shared", _check_pairing(self.primary, self.secondary, self.shared, self.coupling))
+
+    @cached_property
+    def robustified(self) -> tuple:
+        """The robustified (primary, secondary, shared), as `robust.robustify_system` returns them."""
+        return robustify_system(self.primary, self.secondary, self.shared)
+
+    def at(self, prior: Optional[float] = None, lam: Optional[float] = None) -> "CascadeSystem":
+        """This system with both applications at `prior` and/or run at multiplier `lam`.
+
+        A multiplier replaces the budget.  The robustified models carry
+        over, since robustification depends on neither.
+        """
+        app1, app2, shared = self.robustified
+        changes = {}
+        if prior is not None:
+            p = float(prior)
+            changes["primary"] = replace(self.primary, prior=p)
+            app1 = replace(app1, prior=p)
+            if self.secondary is not None:
+                changes["secondary"] = replace(self.secondary, prior=p)
+                app2 = replace(app2, prior=p)
+        if lam is not None:
+            changes.update(lam=lam, budget=None)
+        system = replace(self, **changes)
+        system.__dict__["robustified"] = (app1, app2, shared)
+        return system
 
 
 def _check_pairing(primary: AppConfig, secondary: Optional[AppConfig], shared, coupling: str) -> Optional[tuple]:
@@ -346,10 +394,8 @@ def _enumerate_secondary(
     return best[0], count[0]
 
 
-def _oracle(system: CascadeSystem, primary_result, augmented: bool, prepared=None):
-    if prepared is None:
-        prepared = robustify_system(system.primary, system.secondary, system.shared)
-    app1, app2, shared = prepared
+def _oracle(system: CascadeSystem, primary_result, prepared, augmented: bool):
+    app1, app2, shared = system.robustified if prepared is None else prepared
     sweep = augmented_primary if augmented else brute_force_primary
     out = {}
     out["primary_risk"], out["primary_policies"] = sweep(app1, system.lam)
@@ -373,16 +419,17 @@ def brute_force_optimum(system: CascadeSystem, primary_result: Optional[PrimaryR
     when the system has one).  Instances whose policy space exceeds the cap
     are refused with EnumerationCapError.  The secondary search requires the
     primary policy, which is recomputed on its exact reachable grid unless
-    one is supplied; `prepared` may carry already-robustified
-    (primary, secondary, shared) configs to skip redundant solves.
+    one is supplied.  The system's own robustified models are used unless
+    `prepared` carries a (primary, secondary, shared) triple robustified
+    elsewhere, in which case the system's are never computed.
     """
-    return _oracle(system, primary_result, augmented=False, prepared=prepared)
+    return _oracle(system, primary_result, prepared, augmented=False)
 
 
 def augmented_optimum(system: CascadeSystem, primary_result: Optional[PrimaryResult] = None,
                       prepared=None):
     """Optimum when intermediate stages may also declare positive."""
-    return _oracle(system, primary_result, augmented=True, prepared=prepared)
+    return _oracle(system, primary_result, prepared, augmented=True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +509,15 @@ def simulate(
     """Run the cascade end to end on synthetic frames.
 
     Targets and features are drawn from the nominal models under the
-    system's coupling mode; policies update beliefs with their robustified
-    likelihood models.  The generator is a counter-based Philox stream
-    keyed by the seed, with one row of uniforms per trial, so reports are
-    bit-identical across runs and platforms for fixed inputs.
+    system's coupling mode; policies update beliefs with the system's
+    robustified likelihood models.  The generator is a counter-based
+    Philox stream keyed by the seed, with one row of uniforms per trial, so
+    reports are bit-identical across runs and platforms for fixed inputs.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     has2 = system.secondary is not None and secondary_result is not None
-    app1, app2, shared = robustify_system(
-        system.primary, system.secondary if has2 else None, system.shared if has2 else None)
+    app1, app2, shared = system.robustified
     k = app1.k
 
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -650,21 +696,18 @@ def twin_experiment(
     row collects expected energies, the energy saving factor, the primary
     risk breakdown, and the secondary risk with sharing against a
     no-sharing ablation (shared feature removed).  When `trials` > 0 a
-    Monte Carlo cross-check is appended to each row.
+    Monte Carlo cross-check is appended to each row.  The twin system is
+    robustified once, since robustification does not depend on the prior.
     """
-    if (lam is None) == (budget is None):
-        raise ValueError("provide exactly one of lam or budget")
-    # robustification does not depend on the prior, and a twin's secondary
-    # and shared-feature models are the primary's own
-    robust_app, _, _ = robustify_system(base_app)
+    twin = CascadeSystem(base_app, lam, secondary=base_app, shared=base_app.stages, coupling="twin",
+                         budget=budget)
     rows = []
     for p in prior_sweep:
-        nominal = replace(base_app, prior=float(p))
-        app = replace(robust_app, prior=float(p))
+        system = twin.at(prior=p)
+        app, _, _ = system.robustified
         if budget is not None:
-            lam_p = _solve_robustified(budget, grid, app, app, app.stages).lam
-        else:
-            lam_p = float(lam)
+            system = system.at(lam=_solve_robustified(budget, grid, *system.robustified).lam)
+        lam_p = system.lam
         pr = optimize_primary(app, lam_p, grid)
         sr = optimize_secondary(app, app.stages, pr, lam_p)
         b1, en1, _ = forward_primary(pr, app)
@@ -688,8 +731,6 @@ def twin_experiment(
             resource2_weighted=b2.weighted_resource,
         ).__dict__
         if trials > 0:
-            system = CascadeSystem(nominal, lam_p, secondary=nominal,
-                                   shared=nominal.stages, coupling="twin")
             rep = simulate(system, pr, sr, n_trials=trials, seed=seed)
             row.update(
                 sim_risk1=rep.primary.risk_mean,

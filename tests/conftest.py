@@ -49,6 +49,16 @@ def random_app(rng, k=None, bins=None, u_scale=0.06, max_cost=3.0, prior_range=(
     raise RuntimeError("could not draw a solvable random instance")
 
 
+def assert_stages_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.uncertainty == b.uncertainty and a.cost_mj == b.cost_mj
+        assert a.breakpoints == b.breakpoints
+        for name in ("nominal", "robust"):
+            for side in ("p0", "p1"):
+                assert getattr(getattr(a, name), side).tobytes() == getattr(getattr(b, name), side).tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -184,9 +184,11 @@ class TestBudgetOverride:
 
 
 class TestRobustifyOnce:
-    """`optimize` robustifies each of the system's three stage sets once."""
+    """Each config-reading command robustifies each of the system's stage sets once."""
 
-    def _count_robustified_stages(self, monkeypatch, capsys, tmp_path, config, *extra):
+    K = len(json.loads(CONFIG.read_text())["primary"]["stages"])
+
+    def _count_robustified_stages(self, monkeypatch, capsys, tmp_path, config, command="optimize", *extra):
         from cascadeshare import cli, robust
 
         seen = []
@@ -197,13 +199,12 @@ class TestRobustifyOnce:
             return original(stage)
 
         monkeypatch.setattr(robust, "robustify_stage", counting)
-        assert cli.main(["optimize", "--config", str(config), *extra, "--out-dir", str(tmp_path / "out")]) == 0
+        assert cli.main([command, "--config", str(config), *extra, "--out-dir", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         return len(seen)
 
     def test_with_lambda(self, monkeypatch, capsys, tmp_path):
-        k = len(json.loads(CONFIG.read_text())["primary"]["stages"])
-        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, CONFIG) == 3 * k
+        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, CONFIG) == 3 * self.K
 
     def test_with_budget_block(self, monkeypatch, capsys, tmp_path):
         doc = json.loads(CONFIG.read_text())
@@ -211,8 +212,50 @@ class TestRobustifyOnce:
         doc["budget"] = {"budget_mJ": 45.0, "baseline_mJ": 0.1152}
         config = tmp_path / "budget.json"
         config.write_text(json.dumps(doc))
-        k = len(doc["primary"]["stages"])
-        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, config) == 3 * k
+        assert self._count_robustified_stages(monkeypatch, capsys, tmp_path, config) == 3 * self.K
+
+    @pytest.mark.parametrize("command, extra, stage_sets", [
+        ("check", (), 3),
+        ("simulate", ("--trials", "1000"), 3),
+        ("sweep", (), 3),
+        # the twin clones the primary, so its one stage set serves all three roles
+        ("twin", (), 1),
+        ("twin", ("--trials", "1000"), 1),
+    ])
+    def test_per_command(self, monkeypatch, capsys, tmp_path, command, extra, stage_sets):
+        count = self._count_robustified_stages(monkeypatch, capsys, tmp_path, CONFIG, command, *extra)
+        assert count == stage_sets * self.K
+
+
+class TestCsvWriter:
+    """`cli._write_csv` writes the bytes that `csv.writer` with repr-formatted floats wrote."""
+
+    @staticmethod
+    def _reference(path, header, rows):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+    def test_matches_csv_writer(self, tmp_path):
+        import numpy as np
+
+        from cascadeshare.cli import _write_csv
+
+        floats = [0.0, -0.0, 1.0 / 3.0, 1e-310, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  float("inf"), float("-inf"), float("nan"), np.float64(0.1), np.float64(-2.5e-12)]
+        # no bare carriage return: this writer quotes it, and csv.writer quotes it only
+        # when it is part of the line terminator
+        others = [0, -7, 2**70, np.int64(42), True, np.bool_(False), None, "", "F0-", "a,b",
+                  'say "hi"', "two\nlines", np.float32(0.1)]
+        header = ["a", "b", "c"]
+        cells = floats + others
+        rows = [tuple(cells[(i + j) % len(cells)] for j in range(3)) for i in range(len(cells))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(got, header, rows)
+        self._reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestEstimate:

@@ -17,7 +17,6 @@ from cascadeshare.dp import (
     USE_OWN,
     USE_SHARED,
     cascade_optimality_primary,
-    eval_policy_risk,
     forward_primary,
     forward_secondary,
     optimize_primary,
@@ -283,8 +282,8 @@ class TestBackwardForwardConsistency:
             rapp = robustify_app(app)
             pr = optimize_primary(rapp, lam, Grid.uniform(81))
             sr = optimize_secondary(rapp, rapp.stages, pr, lam)
-            out = eval_policy_risk(pr, rapp, sr, rapp, rapp.stages)
-            assert out["secondary"].total == pytest.approx(
+            breakdown, _, _ = forward_secondary(sr, rapp, rapp.stages, rapp.prior)
+            assert breakdown.total == pytest.approx(
                 sr.value_at(app.prior, app.prior), abs=1e-9
             )
 
@@ -544,7 +543,7 @@ def test_exact_ties_go_to_sharing(rng):
 def _solve_gcw(m):
     from cascadeshare.cli import load_config, solve_system
 
-    return solve_system(load_config(str(GCW_CONFIG)), grid_override=m)
+    return solve_system(replace(load_config(str(GCW_CONFIG)), grid_m=m))
 
 
 class TestTieRule:

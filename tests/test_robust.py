@@ -24,7 +24,7 @@ from cascadeshare.robust import (
     solve_breakpoints,
 )
 
-from conftest import random_app, random_pmf, random_uncertainty
+from conftest import assert_stages_bitwise_equal, random_app, random_pmf, random_uncertainty
 
 
 def grid_search_breakpoints(model, u, rounds=6, width=160):
@@ -518,16 +518,6 @@ def hand_written_triple(primary, secondary, shared):
         return app1, None, None
     app2 = robustify_app(secondary)
     return app1, app2, tuple(robustify_app(replace(secondary, stages=shared)).stages)
-
-
-def assert_stages_bitwise_equal(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.uncertainty == b.uncertainty and a.cost_mj == b.cost_mj
-        assert a.breakpoints == b.breakpoints
-        for name in ("nominal", "robust"):
-            for side in ("p0", "p1"):
-                assert getattr(getattr(a, name), side).tobytes() == getattr(getattr(b, name), side).tobytes()
 
 
 class TestRobustifySystem:

@@ -1,12 +1,13 @@
 """Monte Carlo harness, enumeration oracles, twin experiment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cascadeshare.models import AppConfig, ConditionalPmf, evidence_pmf, likelihood_ratios, posterior_update_array
-from cascadeshare.robust import StageModel, robustify_app
+from cascadeshare.robust import StageModel, robustify_app, robustify_system
 from cascadeshare.dp import Grid, forward_primary, optimize_primary, optimize_secondary
 from cascadeshare.sim import (
     CascadeSystem,
@@ -19,7 +20,7 @@ from cascadeshare.sim import (
     twin_experiment,
 )
 
-from conftest import random_app, random_pmf
+from conftest import assert_stages_bitwise_equal, random_app, random_pmf
 
 
 def uninformative(bins=2):
@@ -285,3 +286,49 @@ class TestCoupling:
         x1 = np.array([t.x1 for t in rep.trials])
         x2 = np.array([t.x2 for t in rep.trials])
         assert (x1 != x2).any()
+
+
+class TestSystemCopies:
+    """`CascadeSystem.at` carries the robustified models to other priors and multipliers."""
+
+    @staticmethod
+    def _assert_models_match(system, p):
+        want = robustify_system(replace(system.primary, prior=p),
+                                replace(system.secondary, prior=p), system.shared)
+        got = system.at(prior=p).robustified
+        for g, w in zip(got[:2], want[:2]):
+            assert g.prior == w.prior == p and (g.miss_cost, g.fa_cost) == (w.miss_cost, w.fa_cost)
+            assert_stages_bitwise_equal(g.stages, w.stages)
+        assert_stages_bitwise_equal(got[2], want[2])
+
+    def test_prior_copy_equals_robustifying_at_that_prior(self, rng):
+        for _ in range(4):
+            app1 = random_app(rng, k=3, u_scale=0.03)
+            app2 = random_app(rng, k=3, u_scale=0.03)
+            shared = tuple(replace(s, cost_mj=0.0) for s in random_app(rng, k=3, u_scale=0.03).stages)
+            systems = (
+                CascadeSystem(app1, 0.05, secondary=app1, shared=app1.stages, coupling="twin"),
+                CascadeSystem(app1, 0.05, secondary=app2, shared=shared, coupling="independent"),
+            )
+            for system in systems:
+                for p in rng.uniform(0.02, 0.9, size=3):
+                    self._assert_models_match(system, float(p))
+
+    def test_multiplier_copy_replaces_the_budget_and_keeps_the_models(self, rng):
+        from cascadeshare.budget import BudgetSpec
+
+        app = random_app(rng, k=2)
+        system = CascadeSystem(app, None, budget=BudgetSpec(budget_mj=5.0))
+        solved = system.at(lam=0.25)
+        assert (solved.lam, solved.budget) == (0.25, None)
+        assert all(a is b for a, b in zip(solved.robustified, system.robustified))
+        assert solved.at(prior=0.3).at(lam=0.5).robustified[0].prior == 0.3
+
+    def test_exactly_one_of_multiplier_and_budget(self, rng):
+        from cascadeshare.budget import BudgetSpec
+
+        app = random_app(rng, k=2)
+        with pytest.raises(ValueError, match="exactly one"):
+            CascadeSystem(app, None)
+        with pytest.raises(ValueError, match="exactly one"):
+            CascadeSystem(app, 0.1, budget=BudgetSpec(budget_mj=5.0))
