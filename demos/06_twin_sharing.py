@@ -10,11 +10,10 @@ import math
 from pathlib import Path
 
 from cascadeshare import twin_experiment
-from cascadeshare.dp import Grid
 from cascadeshare.cli import load_config
 
 cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"))
-rows = twin_experiment(cfg.primary, cfg.priors, Grid.uniform(cfg.grid_m), lam=cfg.lam)
+rows = twin_experiment(cfg, cfg.priors)
 
 print(f"lambda = {cfg.lam}, grid M = {cfg.grid_m}, priors {list(cfg.priors)}\n")
 print(f"{'prior':>6} {'E1 mJ':>9} {'E2 mJ':>9} {'saving':>8} "

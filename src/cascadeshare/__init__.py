@@ -57,7 +57,6 @@ from .sim import (
     CascadeSystem,
     EnumerationCapError,
     SimulationReport,
-    TrialOutcome,
     augmented_optimum,
     brute_force_optimum,
     exact_grid_primary,

@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -318,7 +318,7 @@ def _cmd_simulate(args) -> int:
         system, solved.primary, solved.secondary,
         n_trials=args.trials if args.trials else system.trials,
         seed=args.seed if args.seed is not None else system.seed,
-        no_sharing=args.no_sharing, collect_trials=args.dump_trials,
+        no_sharing=args.no_sharing,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,27 +333,16 @@ def _cmd_simulate(args) -> int:
     }
     _write_json(out_dir / "report.json", doc)
     if args.dump_trials:
-        _write_csv(
-            out_dir / "trials.csv",
-            ["trial", "x1", "x2", "actions1", "actions2", "xhat1", "xhat2",
-             "stop_stage1", "stop_stage2", "energy_mJ"],
-            [
-                (t.trial, t.x1, t.x2, t.actions1, t.actions2, t.xhat1, t.xhat2,
-                 t.stop_stage1, t.stop_stage2, t.energy_mj)
-                for t in report.trials
-            ],
-        )
+        columns = [repeat(None) if c is None else c.tolist() for c in report.trials.values()]
+        _write_csv(out_dir / "trials.csv", ["trial", *report.trials], zip(range(report.n_trials), *columns))
     print(json.dumps({"status": "ok", "risk1": report.primary.risk_mean}))
     return EXIT_OK
 
 
 def _cmd_twin(args) -> int:
     system = _run_config(args)
-    rows = twin_experiment(
-        system.primary, _priors(args, system), Grid.uniform(system.grid_m),
-        lam=system.lam, budget=system.budget,
-        trials=args.trials or 0, seed=args.seed if args.seed is not None else system.seed,
-    )
+    rows = twin_experiment(system, _priors(args, system), trials=args.trials or 0,
+                           seed=args.seed if args.seed is not None else system.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"rows": rows})
@@ -390,12 +379,8 @@ def _cmd_check(args) -> int:
     doc = {"lambda": solved.lam}
     doc["cascade_optimality_primary"] = cascade_optimality_primary(solved.primary, solved.app1)
     if solved.secondary is not None:
-        checks = check_sharing_condition(solved.secondary, solved.app2, solved.shared)
-        doc["sharing"] = [
-            {"stage": c.stage, "passes": c.passes, "worst_margin": c.worst_margin,
-             "reference_margin": c.reference_margin}
-            for c in checks
-        ]
+        checks = check_sharing_condition(solved.secondary, solved.app2)
+        doc["sharing"] = [{"stage": c.stage, "passes": c.passes, "worst_margin": c.worst_margin} for c in checks]
         doc["sharing_all_pass"] = all(c.passes for c in checks)
         doc["cascade_optimality_secondary"] = cascade_optimality_secondary(solved.secondary, solved.app2)
     if args.allow_early_positive:

@@ -401,25 +401,18 @@ class SharingCheck:
     stage: int            # feature index i = 1..K (decision taken at stage i-1)
     passes: bool
     worst_margin: float   # max over grid of E[V|shared] - E[V|own] - lam*D; <= 0 passes
-    reference_margin: float  # miss-cost-weighted posterior-difference form (report only)
 
 
-def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_stages):
+def check_sharing_condition(result: SecondaryResult, app2: AppConfig):
     """Evaluate, per stage, whether taking the shared feature is always optimal.
 
-    The operative inequality compares the two continuation expectations
-    directly against the priced own-feature cost at every grid cell where
-    the shared feature is actually on offer; a pass (worst margin <= 0)
-    guarantees the optimizer never selects the own feature there (ties
-    prefer sharing).  The miss-cost-weighted posterior-difference bound is
-    reported alongside for reference; under each feature's own evidence
-    measure both expectations are martingales, so that form is ~0 and
-    carries no information.  Its expected next belief is `T @ grid.points`,
-    exact because interpolation reproduces a linear function.
+    The check compares the two continuation expectations directly against
+    the priced own-feature cost at every grid cell where the shared feature
+    is actually on offer; a pass (worst margin <= 0) guarantees the
+    optimizer never selects the own feature there (ties prefer sharing).
     """
     checks = []
     lam = result.lam
-    points = result.grid2.points
     for i in range(result.k):
         diff = result.shared_cont[i] - result.own_cont[i]
         if i == 0:
@@ -428,12 +421,7 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig, shared_sta
             avail = result.primary_continue[i - 1]
             worst = float(diff[:, avail].max()) if avail.any() else float("-inf")
         worst -= lam * app2.stages[i].cost_mj
-
-        e_shared = _Transition(result.grid2, shared_stages[i].effective).expect(points)
-        e_own = _Transition(result.grid2, app2.stages[i].effective).expect(points)
-        ref = float((app2.miss_cost * (e_shared - e_own)).max()) - lam * app2.stages[i].cost_mj
-
-        checks.append(SharingCheck(i + 1, bool(worst <= 0.0), worst, ref))
+        checks.append(SharingCheck(i + 1, bool(worst <= 0.0), worst))
     return checks
 
 

@@ -16,7 +16,7 @@ optimizer, so agreement isolates algorithmic errors from discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -136,22 +136,6 @@ def _check_pairing(primary: AppConfig, secondary: Optional[AppConfig], shared, c
     return shared
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated frame: targets, per-stage actions, verdicts, energy."""
-
-    trial: int
-    x1: int
-    x2: Optional[int]
-    actions1: str
-    actions2: Optional[str]
-    xhat1: int
-    xhat2: Optional[int]
-    stop_stage1: int
-    stop_stage2: Optional[int]
-    energy_mj: float
-
-
 # ---------------------------------------------------------------------------
 # reachable-belief closures (exact grids for oracle comparisons)
 # ---------------------------------------------------------------------------
@@ -233,7 +217,7 @@ def _sweep_primary(app: AppConfig, lam: float, augmented: bool):
     Enumerates, for every intermediate stage, the stop threshold (and the
     early-positive threshold when `augmented`), and the final declaration
     threshold, evaluating exact risk by prefix summation.  Returns the
-    minimal system risk.
+    minimal system risk and the number of policies.
     """
     count = _primary_policy_count(app, augmented)
     if count > ENUMERATION_CAP:
@@ -274,16 +258,6 @@ def _sweep_primary(app: AppConfig, lam: float, augmented: bool):
     term = np.where(b[:, None] < cands[None, :], cm * b[:, None], ca * (1.0 - b)[:, None])
     total = risk[:, None] + np.einsum("pc,pt->ct", alive_k * q[:, None], term)
     return float(total.min()), count
-
-
-def brute_force_primary(app: AppConfig, lam: float) -> tuple[float, int]:
-    """Exact optimum of the single-application cascade (no early positives)."""
-    return _sweep_primary(app, lam, augmented=False)
-
-
-def augmented_primary(app: AppConfig, lam: float) -> tuple[float, int]:
-    """Exact optimum when intermediate stages may also declare positive."""
-    return _sweep_primary(app, lam, augmented=True)
 
 
 def _enumerate_secondary(
@@ -396,9 +370,8 @@ def _enumerate_secondary(
 
 def _oracle(system: CascadeSystem, primary_result, prepared, augmented: bool):
     app1, app2, shared = system.robustified if prepared is None else prepared
-    sweep = augmented_primary if augmented else brute_force_primary
     out = {}
-    out["primary_risk"], out["primary_policies"] = sweep(app1, system.lam)
+    out["primary_risk"], out["primary_policies"] = _sweep_primary(app1, system.lam, augmented)
     if app2 is not None:
         if primary_result is None:
             primary_result = optimize_primary(app1, system.lam, exact_grid_primary(app1))
@@ -449,14 +422,16 @@ def _lookup_rule(grid: np.ndarray, mask: np.ndarray, threshold: float, pi: np.nd
     return np.where(exact, mask[pos], pi >= threshold)
 
 
-def _lookup_with_action(result: SecondaryResult, i: int, pi2: np.ndarray, pi1: np.ndarray) -> np.ndarray:
-    g2, g1 = result.grid2.points, result.grid1.points
-    p2 = np.clip(np.searchsorted(g2, pi2), 0, g2.size - 1)
-    p1 = np.clip(np.searchsorted(g1, pi1), 0, g1.size - 1)
-    exact = (g2[p2] == pi2) & (g1[p1] == pi1)
-    i2 = np.where(exact, p2, _nearest_index(g2, pi2))
-    i1 = np.where(exact, p1, _nearest_index(g1, pi1))
-    return result.actions_with[i - 1][i2, i1]
+def _lookup_table(result: SecondaryResult, table: np.ndarray, pi2, pi1):
+    """`table`'s entry at the grid nodes nearest (pi2, pi1); a grid belief reads its own node."""
+    return table[_nearest_index(result.grid2.points, pi2), _nearest_index(result.grid1.points, pi1)]
+
+
+def _trials_column(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A zero-copy view for `SimulationReport.trials`: flags as int8, an (n, k) action array as n k-strings."""
+    if a is None or a.dtype.kind not in "bU":
+        return a
+    return a.view(np.int8) if a.dtype == bool else a.view(f"U{a.shape[1]}")[:, 0]
 
 
 @dataclass
@@ -480,7 +455,7 @@ class SimulationReport:
     secondary: Optional[AppEstimate] = None
     energy_total_mean: float = 0.0
     energy_total_stderr: float = 0.0
-    trials: Optional[list] = None
+    trials: dict = field(default_factory=dict)
 
 
 def _estimate(cost_samples: np.ndarray, energy: np.ndarray, lam: float,
@@ -504,7 +479,6 @@ def simulate(
     n_trials: int = 100_000,
     seed: int = 0,
     no_sharing: bool = False,
-    collect_trials: bool = False,
 ) -> SimulationReport:
     """Run the cascade end to end on synthetic frames.
 
@@ -513,6 +487,11 @@ def simulate(
     robustified likelihood models.  The generator is a counter-based
     Philox stream keyed by the seed, with one row of uniforms per trial, so
     reports are bit-identical across runs and platforms for fixed inputs.
+
+    The report's `trials` holds the per-trial results as columns keyed by
+    the `trials.csv` header (without `trial`, the row number): views of the
+    run's own arrays, with booleans as int8 and each trial's per-stage
+    actions as one string.  A primary-only run's secondary columns are None.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -547,7 +526,6 @@ def simulate(
     pi1 = np.full(n_trials, app1.prior)
     alive1 = np.ones(n_trials, dtype=bool)
     stop_stage1 = np.full(n_trials, k)
-    xhat1 = np.zeros(n_trials, dtype=bool)
     e1 = np.full(n_trials, app1.stages[0].cost_mj)
     acts1 = np.full((n_trials, k), "-", dtype="U1")
 
@@ -555,14 +533,13 @@ def simulate(
         pi2 = np.full(n_trials, app2.prior)
         alive2 = np.ones(n_trials, dtype=bool)
         stop_stage2 = np.full(n_trials, k)
-        xhat2 = np.zeros(n_trials, dtype=bool)
         e2 = np.zeros(n_trials)
         acts2 = np.full((n_trials, k + 1), "-", dtype="U1")
         # source of the next update: shared draw or own draw
         if no_sharing:
             delta0_own = np.ones(n_trials, dtype=bool)
         else:
-            d0 = _lookup_with_action_scalar(secondary_result, app2.prior, app1.prior)
+            d0 = _lookup_table(secondary_result, secondary_result.delta0, app2.prior, app1.prior)
             delta0_own = np.full(n_trials, d0 == USE_OWN)
         e2 += np.where(delta0_own, app2.stages[0].cost_mj, 0.0)
         acts2[:, 0] = np.where(delta0_own, "2", "1")
@@ -589,7 +566,7 @@ def simulate(
             avail = go1 & ~forced_solo
             act = np.where(
                 avail,
-                _lookup_with_action(secondary_result, i, pi2, pi1),
+                _lookup_table(secondary_result, secondary_result.actions_with[i - 1], pi2, pi1),
                 np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.actions_without[i - 1],
                                       secondary_result.tau_without[i - 1], pi2), USE_OWN, STOP),
             )
@@ -621,9 +598,13 @@ def simulate(
         miss2 = app2.miss_cost * (x2 & ~xhat2)
         fa2 = app2.fa_cost * (~x2 & xhat2)
         est2 = _estimate(miss2 + fa2, e2, lam, miss2, fa2)
+    else:
+        x2 = acts2 = xhat2 = stop_stage2 = None
 
     total_energy = e1 + (e2 if has2 else 0.0)
-    report = SimulationReport(
+    columns = dict(x1=x1, x2=x2, actions1=acts1, actions2=acts2, xhat1=xhat1, xhat2=xhat2,
+                   stop_stage1=stop_stage1, stop_stage2=stop_stage2, energy_mJ=total_energy)
+    return SimulationReport(
         n_trials=n_trials,
         seed=seed,
         lam=lam,
@@ -631,90 +612,44 @@ def simulate(
         secondary=est2,
         energy_total_mean=float(total_energy.mean()),
         energy_total_stderr=float(total_energy.std(ddof=1) / math.sqrt(n_trials)),
+        trials={name: _trials_column(c) for name, c in columns.items()},
     )
-    if collect_trials:
-        rows = []
-        for t in range(n_trials):
-            rows.append(TrialOutcome(
-                trial=t,
-                x1=int(x1[t]),
-                x2=int(x2[t]) if has2 else None,
-                actions1="".join(acts1[t]),
-                actions2="".join(acts2[t]) if has2 else None,
-                xhat1=int(xhat1[t]),
-                xhat2=int(xhat2[t]) if has2 else None,
-                stop_stage1=int(stop_stage1[t]),
-                stop_stage2=int(stop_stage2[t]) if has2 else None,
-                energy_mj=float(total_energy[t]),
-            ))
-        report.trials = rows
-    return report
-
-
-def _lookup_with_action_scalar(result: SecondaryResult, pi2: float, pi1: float) -> int:
-    # nearest-node lookup; lands on the node itself for on-grid beliefs
-    i2 = int(_nearest_index(result.grid2.points, np.array([pi2]))[0])
-    i1 = int(_nearest_index(result.grid1.points, np.array([pi1]))[0])
-    return int(result.delta0[i2, i1])
 
 
 # ---------------------------------------------------------------------------
 # twin experiment
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwinRow:
-    prior: float
-    lam: float
-    e1_mj: float
-    e2_mj: float
-    saving: float
-    miss1: float
-    fa1: float
-    resource1_weighted: float
-    risk1: float
-    risk2_shared: float
-    risk2_ablated: float
-    detection2_shared: float
-    detection2_ablated: float
-    resource2_weighted: float
+def twin_experiment(system: CascadeSystem, priors: Sequence[float], trials: int = 0, seed: int = 0) -> list[dict]:
+    """Clone the system's primary as its own secondary and quantify sharing.
 
-
-def twin_experiment(
-    base_app: AppConfig,
-    prior_sweep: Sequence[float],
-    grid: Grid,
-    lam: Optional[float] = None,
-    budget=None,
-    trials: int = 0,
-    seed: int = 0,
-) -> list[dict]:
-    """Clone the application as its own secondary and quantify sharing.
-
-    For each swept prior, both applications are optimized (at a fixed
-    multiplier, or one solved per prior from a budget spec), and the report
-    row collects expected energies, the energy saving factor, the primary
-    risk breakdown, and the secondary risk with sharing against a
-    no-sharing ablation (shared feature removed).  When `trials` > 0 a
-    Monte Carlo cross-check is appended to each row.  The twin system is
-    robustified once, since robustification does not depend on the prior.
+    The system supplies the primary, the grid size and either a fixed
+    multiplier or a budget to solve one multiplier per prior from; any
+    secondary it has is replaced by the clone.  For each prior, both
+    applications are optimized, and the report row collects expected
+    energies, the energy saving factor, the primary risk breakdown, and the
+    secondary risk with sharing against a no-sharing ablation (shared
+    feature removed).  When `trials` > 0 a Monte Carlo cross-check is
+    appended to each row.  The twin system is robustified once, since
+    robustification does not depend on the prior.
     """
-    twin = CascadeSystem(base_app, lam, secondary=base_app, shared=base_app.stages, coupling="twin",
-                         budget=budget)
+    primary = system.primary
+    twin = replace(system, secondary=primary, shared=primary.stages, coupling="twin")
+    grid = Grid.uniform(system.grid_m)
     rows = []
-    for p in prior_sweep:
-        system = twin.at(prior=p)
-        app, _, _ = system.robustified
-        if budget is not None:
-            system = system.at(lam=_solve_robustified(budget, grid, *system.robustified).lam)
-        lam_p = system.lam
+    for p in priors:
+        sys_p = twin.at(prior=p)
+        app, _, _ = sys_p.robustified
+        if system.budget is not None:
+            sys_p = sys_p.at(lam=_solve_robustified(system.budget, grid, *sys_p.robustified).lam)
+        lam_p = sys_p.lam
         pr = optimize_primary(app, lam_p, grid)
         sr = optimize_secondary(app, app.stages, pr, lam_p)
         b1, en1, _ = forward_primary(pr, app)
         b2, en2, _ = forward_secondary(sr, app, app.stages, app.prior)
         b2a = b1  # without the shared feature the secondary is the primary's exact twin
 
-        row = TwinRow(
+        row = dict(
             prior=float(p),
             lam=lam_p,
             e1_mj=en1,
@@ -729,9 +664,9 @@ def twin_experiment(
             detection2_shared=b2.detection,
             detection2_ablated=b2a.detection,
             resource2_weighted=b2.weighted_resource,
-        ).__dict__
+        )
         if trials > 0:
-            rep = simulate(system, pr, sr, n_trials=trials, seed=seed)
+            rep = simulate(sys_p, pr, sr, n_trials=trials, seed=seed)
             row.update(
                 sim_risk1=rep.primary.risk_mean,
                 sim_risk1_stderr=rep.primary.risk_stderr,

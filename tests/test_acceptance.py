@@ -254,7 +254,7 @@ class TestCriterion6SharingStructure:
 
         cfg = load_config(str(CONFIG))
         solved = solve_system(cfg)
-        checks = check_sharing_condition(solved.secondary, solved.app2, solved.shared)
+        checks = check_sharing_condition(solved.secondary, solved.app2)
         assert all(c.passes for c in checks)
         _assert_structure(solved.secondary, solved.primary)
 
@@ -267,7 +267,7 @@ class TestCriterion6SharingStructure:
             rapp2 = robustify_app(system.secondary)
             shared = tuple(robustify_app(replace(system.secondary, stages=system.shared)).stages)
             sr = optimize_secondary(rapp2, shared, pr, system.lam)
-            if not all(c.passes for c in check_sharing_condition(sr, rapp2, shared)):
+            if not all(c.passes for c in check_sharing_condition(sr, rapp2)):
                 continue
             _assert_structure(sr, pr)
             passing += 1
@@ -365,8 +365,7 @@ class TestCriterion9TwinExperiment:
 
         cfg = load_config(str(CONFIG))
         assert [s.cost_mj for s in cfg.primary.stages] == pytest.approx([d1, d2, d3], abs=1e-12)
-        rows = twin_experiment(cfg.primary, [0.05, 0.10, 0.15, 0.20],
-                               Grid.uniform(cfg.grid_m), lam=cfg.lam)
+        rows = twin_experiment(cfg, [0.05, 0.10, 0.15, 0.20])
         savings = []
         for r in rows:
             assert r["saving"] > 1.0

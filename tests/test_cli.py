@@ -88,6 +88,58 @@ class TestSimulate:
         assert {"trial", "x1", "x2", "actions1", "actions2", "xhat1", "xhat2",
                 "stop_stage1", "stop_stage2", "energy_mJ"} == set(rows[0])
 
+    # on gcw the shared run's secondary pays for no feature; --no-sharing makes it pay
+    @pytest.mark.parametrize("primary_only, extra", [(False, ()), (False, ("--no-sharing",)), (True, ())])
+    def test_trials_agree_with_report(self, tmp_path, primary_only, extra):
+        """Per-trial columns reproduce the report's estimates, and each action
+        string (K primary decisions, K+1 secondary ones) ends where its stop
+        stage says."""
+        import numpy as np
+
+        from cascadeshare.cli import load_config
+
+        config = CONFIG
+        if primary_only:
+            doc = json.loads(CONFIG.read_text())
+            del doc["secondary"]
+            config = tmp_path / "primary_only.json"
+            config.write_text(json.dumps(doc))
+        n = 20000
+        proc = run_cli("simulate", "--config", str(config), "--trials", str(n), "--seed", "5", *extra,
+                       "--dump-trials", "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        with open(tmp_path / "out" / "trials.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["trial"]) for r in rows] == list(range(n))
+        assert np.array([float(r["energy_mJ"]) for r in rows]).mean() == report["energy_total_mean_mJ"]
+
+        system = load_config(str(config))
+        k = system.primary.k
+        apps = [("1", system.primary, report["primary"], "F")]
+        if primary_only:
+            assert report["secondary"] is None
+            assert all(r[c] == "" for r in rows for c in ("x2", "actions2", "xhat2", "stop_stage2"))
+        else:
+            apps.append(("2", system.secondary, report["secondary"], "12"))
+        for tag, app, est, go in apps:
+            x = np.array([r["x" + tag] == "1" for r in rows])
+            xhat = np.array([r["xhat" + tag] == "1" for r in rows])
+            assert (app.miss_cost * (x & ~xhat)).mean() == est["miss"]
+            assert (app.fa_cost * (~x & xhat)).mean() == est["false_alarm"]
+            for r in rows:
+                acts, stop = r["actions" + tag], int(r["stop_stage" + tag])
+                assert len(acts) == (k if tag == "1" else k + 1)
+                if tag == "2":
+                    assert acts[0] in "12"  # the first feature: shared or own
+                decisions = acts[-k:]  # after stages 1..K-1, then the final declaration
+                assert all(c in go for c in decisions[:stop - 1])
+                if stop < k:
+                    assert decisions[stop - 1] == "0" and set(decisions[stop:]) <= {"-"}
+                    assert r["xhat" + tag] == "0"
+                else:
+                    assert decisions[-1] == r["xhat" + tag]
+
 
 class TestCheck:
     def test_twin_config_passes_sharing_condition(self, tmp_path):

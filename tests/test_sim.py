@@ -19,6 +19,7 @@ from cascadeshare.sim import (
     simulate,
     twin_experiment,
 )
+from cascadeshare.sim import _lookup_table, _nearest_index
 
 from conftest import assert_stages_bitwise_equal, random_app, random_pmf
 
@@ -36,12 +37,15 @@ class TestDeterminism:
         pr = optimize_primary(rapp, lam, Grid.uniform(51))
         sr = optimize_secondary(rapp, rapp.stages, pr, lam)
         system = CascadeSystem(app, lam, secondary=app, shared=app.stages, coupling="twin")
-        r1 = simulate(system, pr, sr, n_trials=5000, seed=123, collect_trials=True)
-        r2 = simulate(system, pr, sr, n_trials=5000, seed=123, collect_trials=True)
+        r1 = simulate(system, pr, sr, n_trials=5000, seed=123)
+        r2 = simulate(system, pr, sr, n_trials=5000, seed=123)
         assert r1.primary == r2.primary
         assert r1.secondary == r2.secondary
         assert r1.energy_total_mean == r2.energy_total_mean
-        assert r1.trials == r2.trials
+        assert r1.trials.keys() == r2.trials.keys()
+        for name, column in r1.trials.items():
+            assert column.dtype == r2.trials[name].dtype
+            assert column.tobytes() == r2.trials[name].tobytes(), name
 
     def test_seed_changes_output(self, rng):
         app = random_app(rng, k=2, bins=3)
@@ -51,6 +55,7 @@ class TestDeterminism:
         a = simulate(sys_, pr, n_trials=5000, seed=1)
         b = simulate(sys_, pr, n_trials=5000, seed=2)
         assert a.primary.risk_mean != b.primary.risk_mean
+        assert all(a.trials[name] is None for name in ("x2", "actions2", "xhat2", "stop_stage2"))
 
 
 class TestSimulateClosedForms:
@@ -239,7 +244,7 @@ class TestAugmented:
 class TestTwinExperiment:
     def test_directional_claims(self, rng):
         app = random_app(rng, k=2, bins=4, u_scale=0.03, prior_range=(0.2, 0.4))
-        rows = twin_experiment(app, [0.1, 0.2, 0.3], Grid.uniform(81), lam=0.05)
+        rows = twin_experiment(CascadeSystem(app, 0.05, grid_m=81), [0.1, 0.2, 0.3])
         for r in rows:
             assert r["saving"] > 1.0 or r["e2_mj"] == 0.0
             assert r["risk2_shared"] <= r["risk2_ablated"] + 1e-12
@@ -254,7 +259,7 @@ class TestTwinExperiment:
         )
         app = AppConfig(prior=0.3, miss_cost=2.0, fa_cost=1.0, stages=stages)
         lam = 0.05
-        rows = twin_experiment(app, [0.3], Grid.uniform(81), lam=lam)
+        rows = twin_experiment(CascadeSystem(app, lam, grid_m=81), [0.3])
         r = rows[0]
         assert r["detection2_shared"] == pytest.approx(r["detection2_ablated"], abs=1e-9)
         assert r["e2_mj"] == 0.0  # every feature arrived through sharing
@@ -265,8 +270,21 @@ class TestTwinExperiment:
 
         app = random_app(rng, k=2, bins=3, u_scale=0.0)
         spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.1, lambda_bracket=(0.0, 1.0))
-        rows = twin_experiment(app, [0.2], Grid.uniform(41), budget=spec)
+        rows = twin_experiment(CascadeSystem(app, None, budget=spec, grid_m=41), [0.2])
         assert rows[0]["lam"] == 0.0  # generous budget: unconstrained optimum
+
+    def test_configured_secondary_is_replaced_by_the_clone(self, rng):
+        """The twin of an independent-coupling system is the twin of its
+        primary alone; the Monte Carlo rows read the clone's models too."""
+        app1 = random_app(rng, k=2, bins=3, u_scale=0.03)
+        app2 = random_app(rng, k=2, bins=3, u_scale=0.03)
+        shared = tuple(replace(s, cost_mj=0.0) for s in random_app(rng, k=2, bins=3, u_scale=0.03).stages)
+        paired = CascadeSystem(app1, 0.05, secondary=app2, shared=shared, coupling="independent", grid_m=61)
+        alone = CascadeSystem(app1, 0.05, grid_m=61)
+        paired.robustified  # a clone must not reuse these
+        got = twin_experiment(paired, [0.1, 0.3], trials=2000, seed=4)
+        assert got == twin_experiment(alone, [0.1, 0.3], trials=2000, seed=4)
+        assert "sim_risk2" in got[0]
 
 
 class TestCoupling:
@@ -282,10 +300,8 @@ class TestCoupling:
         pr = optimize_primary(rapp, 0.05, Grid.uniform(41))
         sr = optimize_secondary(rapp, rapp.stages, pr, 0.05)
         system = CascadeSystem(app, 0.05, secondary=app, shared=app.stages, coupling="independent")
-        rep = simulate(system, pr, sr, n_trials=2000, seed=3, collect_trials=True)
-        x1 = np.array([t.x1 for t in rep.trials])
-        x2 = np.array([t.x2 for t in rep.trials])
-        assert (x1 != x2).any()
+        rep = simulate(system, pr, sr, n_trials=2000, seed=3)
+        assert (rep.trials["x1"] != rep.trials["x2"]).any()
 
 
 class TestSystemCopies:
@@ -332,3 +348,49 @@ class TestSystemCopies:
             CascadeSystem(app, None)
         with pytest.raises(ValueError, match="exactly one"):
             CascadeSystem(app, 0.1, budget=BudgetSpec(budget_mj=5.0))
+
+
+def _exact_then_nearest(result, table, pi2, pi1):
+    """The lookup `simulate` used before `_lookup_table`: a belief pair on the
+    grid reads its own node, any other pair the nearest node."""
+    g2, g1 = result.grid2.points, result.grid1.points
+    p2 = np.clip(np.searchsorted(g2, pi2), 0, g2.size - 1)
+    p1 = np.clip(np.searchsorted(g1, pi1), 0, g1.size - 1)
+    exact = (g2[p2] == pi2) & (g1[p1] == pi1)
+    i2 = np.where(exact, p2, _nearest_index(g2, pi2))
+    i1 = np.where(exact, p1, _nearest_index(g1, pi1))
+    return table[i2, i1]
+
+
+class TestLookupTable:
+    """`_lookup_table` reads the same entries as the exact-then-nearest lookup it replaced."""
+
+    @staticmethod
+    def _beliefs(rng, points, n=200):
+        mids = (points[:-1] + points[1:]) / 2
+        return np.concatenate([rng.choice(points, n), rng.choice(mids, n), rng.uniform(0.0, 1.0, n),
+                               [0.0, 0.0, 1.0, 1.0]])
+
+    def _assert_same_entries(self, rng, sr):
+        pi2 = self._beliefs(rng, sr.grid2.points)
+        pi1 = np.concatenate([rng.permutation(self._beliefs(rng, sr.grid1.points)[:-4]), [0.0, 1.0, 0.0, 1.0]])
+        for table in (sr.delta0, *sr.actions_with):
+            np.testing.assert_array_equal(_lookup_table(sr, table, pi2, pi1),
+                                          _exact_then_nearest(sr, table, pi2, pi1))
+        for b2, b1 in zip(pi2[::50], pi1[::50]):
+            assert _lookup_table(sr, sr.delta0, float(b2), float(b1)) == _exact_then_nearest(sr, sr.delta0, b2, b1)
+
+    def test_uniform_grids(self, rng):
+        for m in (2, 3, 41, 100):
+            app = random_app(rng, k=3, bins=3)
+            rapp = robustify_app(app)
+            pr = optimize_primary(rapp, 0.05, Grid.uniform(m))
+            self._assert_same_entries(rng, optimize_secondary(rapp, rapp.stages, pr, 0.05))
+
+    def test_exact_grids(self, rng):
+        for _ in range(4):
+            app = random_app(rng, k=2, bins=3)
+            rapp = robustify_app(app)
+            pr = optimize_primary(rapp, 0.05, exact_grid_primary(rapp))
+            sr = optimize_secondary(rapp, rapp.stages, pr, 0.05, grid2=exact_grid_secondary(rapp, rapp.stages))
+            self._assert_same_entries(rng, sr)
