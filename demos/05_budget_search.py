@@ -5,6 +5,7 @@ change discretely).  The solver bisects to the smallest multiplier whose
 consumption fits the budget.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,7 @@ for lam in np.linspace(0.0, 0.02, 9):
 
 baseline = 3.6 * 0.032  # always-on microphone + preamp + ADC
 spec = BudgetSpec(budget_mj=49.398, baseline_mj=baseline, lambda_bracket=(0.0, 1.0))
-sol = solve_lambda(spec, cfg.primary, grid,
-                   secondary_app=cfg.secondary, shared_stages=cfg.shared)
+sol = solve_lambda(replace(cfg, lam=None, budget=spec))
 print(f"\nbudget {spec.budget_mj} mJ/frame (baseline {baseline:.4f} mJ):")
 print(f"  lambda* = {sol.lam:.6f}")
 print(f"  E1 = {sol.e1_mj:.3f} mJ, E2 = {sol.e2_mj:.3f} mJ, total = {sol.total_mj:.3f} mJ")
@@ -36,7 +36,6 @@ print("\n(the packaged config pins lambda = 0.0043, the reference operating poin
       "for roughly this budget)")
 
 generous = BudgetSpec(budget_mj=1e4, baseline_mj=baseline, lambda_bracket=(0.0, 1.0))
-sol2 = solve_lambda(generous, cfg.primary, grid,
-                    secondary_app=cfg.secondary, shared_stages=cfg.shared)
+sol2 = solve_lambda(replace(cfg, lam=None, budget=generous))
 print(f"a generous budget returns the unconstrained optimum: lambda = {sol2.lam}, "
       f"slack = {sol2.slack}")

@@ -1,4 +1,4 @@
-"""Expected resource accounting and Lagrange-multiplier search.
+"""Expected resource accounting, Lagrange-multiplier search, and the one system solve.
 
 The multiplier prices feature extraction inside the optimizer; this module
 computes the resulting expected energy per frame and bisects the multiplier
@@ -8,18 +8,24 @@ The search stops at the first midpoint whose consumption is within budget
 and within the budget's relative tolerance of it; when no midpoint comes
 that close, it narrows the bracket to 1e-12 of its width and returns the
 smallest multiplier seen within budget.
+
+`solve_system` is how every command and the twin experiment turn a system
+into policies: solve the multiplier if the system has a budget, then
+optimize both applications at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .models import AppConfig
 # robustify_app is imported only so that perfbench/spans.py can trace it under this module's name
-from .robust import robustify_app, robustify_system
+from .robust import robustify_app
 from .dp import (
     Grid,
+    PrimaryResult,
+    SecondaryResult,
     _secondary_operators,
     _stage_operators,
     forward_primary,
@@ -27,6 +33,9 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
+
+if TYPE_CHECKING:
+    from .sim import CascadeSystem
 
 
 class BracketFailureError(ValueError):
@@ -128,29 +137,16 @@ def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, op
     return e1, e2
 
 
-def solve_lambda(
-    spec: BudgetSpec,
-    primary_app: AppConfig,
-    grid: Grid,
-    secondary_app: Optional[AppConfig] = None,
-    shared_stages=None,
-) -> LambdaSolution:
-    """Bisection on the multiplier until consumption meets the budget.
+def solve_lambda(system: CascadeSystem) -> LambdaSolution:
+    """Bisection on the multiplier until the system's consumption meets its budget.
 
-    Takes the nominal system, robustifies it, and searches as
-    `_solve_robustified` does.
-    """
-    return _solve_robustified(spec, grid, *robustify_system(primary_app, secondary_app, shared_stages))
-
-
-def _solve_robustified(spec: BudgetSpec, grid: Grid, app: AppConfig, app2=None, shared=None) -> LambdaSolution:
-    """The multiplier search on an already robustified system.
-
-    Returns with the slack flag when the bracket's lower end (normally 0)
-    already satisfies the budget; raises BracketFailureError when even the
-    top of the bracket consumes too much.  Otherwise bisects and returns
-    the first midpoint whose consumption is within budget and within
-    `spec.tolerance * target` of the target; when none is, the bracket is
+    Searches `system.budget` on the system's robustified models and uniform
+    grid of `system.grid_m` points; raises ValueError when the system has
+    no budget.  Returns with the slack flag when the bracket's lower end
+    (normally 0) already satisfies the budget; raises BracketFailureError
+    when even the top of the bracket consumes too much.  Otherwise bisects
+    and returns the first midpoint whose consumption is within budget and
+    within `tolerance * target` of the target; when none is, the bracket is
     narrowed to 1e-12 of its width and the cheapest multiplier seen within
     budget is returned.
 
@@ -158,6 +154,11 @@ def _solve_robustified(spec: BudgetSpec, grid: Grid, app: AppConfig, app2=None, 
     belief-transition operator is built once here and reused by every
     solve of the search; it is dropped when the search returns.
     """
+    spec = system.budget
+    if spec is None:
+        raise ValueError("the system has no budget to solve the multiplier from")
+    grid = Grid.uniform(system.grid_m)
+    app, app2, shared = system.robustified
     ops = (
         _stage_operators(grid, app.stages),
         None if app2 is None else _secondary_operators(grid, app2, shared),
@@ -192,3 +193,41 @@ def _solve_robustified(spec: BudgetSpec, grid: Grid, app: AppConfig, app2=None, 
 
     lam, e1, e2 = best
     return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, False)
+
+
+@dataclass
+class Solved:
+    """A system at its solved multiplier, and the policies the solve produced."""
+
+    system: CascadeSystem
+    primary: PrimaryResult
+    secondary: Optional[SecondaryResult]
+    budget_solution: Optional[LambdaSolution]
+
+    @property
+    def lam(self) -> float:
+        return self.system.lam
+
+    @property
+    def app1(self) -> AppConfig:
+        return self.system.robustified[0]
+
+    @property
+    def app2(self) -> Optional[AppConfig]:
+        return self.system.robustified[1]
+
+    @property
+    def shared(self) -> Optional[tuple]:
+        return self.system.robustified[2]
+
+
+def solve_system(system: CascadeSystem) -> Solved:
+    """Solve the system's multiplier if it has a budget, then optimize both applications."""
+    budget_solution = None
+    if system.lam is None:
+        budget_solution = solve_lambda(system)
+        system = system.at(lam=budget_solution.lam)
+    app1, app2, shared = system.robustified
+    pr = optimize_primary(app1, system.lam, Grid.uniform(system.grid_m))
+    sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
+    return Solved(system, pr, sr, budget_solution)

@@ -16,15 +16,14 @@ import csv
 import json
 import sys
 from itertools import chain, repeat
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .models import AppConfig, estimate_pmf, pmf_from_json, pmf_to_json
-# robustify_app and solve_lambda are imported only so that perfbench/spans.py can trace
-# them under this module's name
+# robustify_app, optimize_primary, optimize_secondary and solve_lambda are imported only so
+# that perfbench/spans.py can trace them under this module's name
 from .robust import (
     DegenerateUncertaintyError,
     StageModel,
@@ -33,9 +32,6 @@ from .robust import (
     stage_model_to_json,
 )
 from .dp import (
-    Grid,
-    PrimaryResult,
-    SecondaryResult,
     cascade_optimality_primary,
     cascade_optimality_secondary,
     check_sharing_condition,
@@ -44,8 +40,8 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import (BracketFailureError, BudgetSpec, LambdaSolution, _solve_robustified,
-                     cost_from_components, expected_resource, solve_lambda)
+from .budget import (BracketFailureError, BudgetSpec, LambdaSolution, Solved, cost_from_components,
+                     expected_resource, solve_lambda, solve_system)
 from .sim import (
     CascadeSystem,
     EnumerationCapError,
@@ -159,45 +155,6 @@ def _run_config(args) -> CascadeSystem:
     return replace(system, lam=None, budget=spec)
 
 
-@dataclass
-class Solved:
-    """A system at its solved multiplier, and the policies the solve produced."""
-
-    system: CascadeSystem
-    primary: PrimaryResult
-    secondary: Optional[SecondaryResult]
-    budget_solution: Optional[LambdaSolution]
-
-    @property
-    def lam(self) -> float:
-        return self.system.lam
-
-    @property
-    def app1(self) -> AppConfig:
-        return self.system.robustified[0]
-
-    @property
-    def app2(self) -> Optional[AppConfig]:
-        return self.system.robustified[1]
-
-    @property
-    def shared(self) -> Optional[tuple]:
-        return self.system.robustified[2]
-
-
-def solve_system(system: CascadeSystem) -> Solved:
-    """Solve the system's multiplier if it has a budget, then optimize both applications."""
-    grid = Grid.uniform(system.grid_m)
-    app1, app2, shared = system.robustified
-    budget_solution = None
-    if system.lam is None:
-        budget_solution = _solve_robustified(system.budget, grid, app1, app2, shared)
-        system = system.at(lam=budget_solution.lam)
-    pr = optimize_primary(app1, system.lam, grid)
-    sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
-    return Solved(system, pr, sr, budget_solution)
-
-
 def _priors(args, system: CascadeSystem) -> list:
     """The prior sweep: `--priors`, else the config's list, else its primary prior."""
     if args.priors:
@@ -218,8 +175,18 @@ def _jsonable(obj):
     return obj
 
 
+def _numpy_item(obj):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, doc) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+    """`doc` as strict JSON; only a document with a non-finite float is walked by `_jsonable` first."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_numpy_item)
+    except ValueError:
+        text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
@@ -295,12 +262,14 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
                 zip(pi2, pi1, sr.with_values[i].ravel().tolist()),
             )
 
-    e1, e2, total = expected_resource(
-        solved.primary, solved.app1, solved.secondary, solved.app2, solved.shared,
-        baseline_mj=solved.system.baseline_mj,
-    )
-    slack = solved.budget_solution.slack if solved.budget_solution else False
-    solution = LambdaSolution(solved.lam, e1, e2, solved.system.baseline_mj, total, slack)
+    # a budget solve already priced its multiplier; a given multiplier is priced here
+    solution = solved.budget_solution
+    if solution is None:
+        baseline = solved.system.baseline_mj
+        e1, e2, total = expected_resource(
+            solved.primary, solved.app1, solved.secondary, solved.app2, solved.shared, baseline_mj=baseline,
+        )
+        solution = LambdaSolution(solved.lam, e1, e2, baseline, total, False)
     _write_json(out_dir / "budget.json", solution.to_json())
 
 

@@ -381,11 +381,10 @@ def optimize_secondary(
         act[:, ~avail] = fallback[:, None]
         actions_with[i - 1] = act
 
-        for j in range(m1):
-            if avail[j]:
-                eta[i - 1, j] = _clamp(_stop_threshold(grid2, stop, best_cont[:, j]), lo, hi)
-            else:
-                eta[i - 1, j] = tau_without[i - 1]
+        # per column, `_stop_threshold` clamped to the envelope; the solo threshold where the primary stops
+        better = best_cont < stop[:, None]
+        first = np.where(better.any(axis=0), b2[better.argmax(axis=0)], np.inf)
+        eta[i - 1] = np.where(avail, np.clip(first, lo, hi), tau_without[i - 1])
 
     return SecondaryResult(
         grid2, grid1, lam, with_values, without_values, shared_cont, own_cont,
@@ -428,22 +427,14 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig):
 def check_cascade_optimality(values: np.ndarray, grid: Grid, fa_cost: float, bounds) -> list[bool]:
     """Would an added early-positive action ever fire?  True means never.
 
-    For each intermediate stage, finds the largest grid belief where the
-    stage value still beats an immediate positive declaration; the cascade
-    form is optimal at that stage iff this point exceeds the stage's
-    reachable upper belief bound.
+    For each intermediate stage, the cascade form is optimal iff the
+    largest grid belief where the stage value still beats an immediate
+    positive declaration exceeds the stage's reachable upper belief bound;
+    that is, iff some grid belief above the bound has such a value.
     """
-    k = values.shape[0] - 1
     b = grid.points
-    out = []
-    for i in range(1, k):
-        no_positive = values[i] - fa_cost * (1.0 - b) < 0
-        if not no_positive.any():
-            out.append(False)
-            continue
-        largest = float(b[np.flatnonzero(no_positive).max()])
-        out.append(bool(largest > bounds[i][1]))
-    return out
+    return [bool(np.any((values[i] - fa_cost * (1.0 - b) < 0) & (b > bounds[i][1])))
+            for i in range(1, values.shape[0] - 1)]
 
 
 def cascade_optimality_primary(result: PrimaryResult, app: AppConfig) -> list[bool]:
@@ -452,22 +443,12 @@ def cascade_optimality_primary(result: PrimaryResult, app: AppConfig) -> list[bo
 
 def cascade_optimality_secondary(result: SecondaryResult, app2: AppConfig) -> list[bool]:
     """Worst case over the solo chain and every primary-belief column."""
-    k = result.k
     solo = check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
-    out = list(solo)
     b = result.grid2.points
-    for i in range(1, k):
+    out = []
+    for i in range(1, result.k):
         no_positive = result.with_values[i] - app2.fa_cost * (1.0 - b)[:, None] < 0
-        ok = True
-        for j in range(result.grid1.m):
-            col = no_positive[:, j]
-            if not col.any():
-                ok = False
-                break
-            if float(b[np.flatnonzero(col).max()]) <= result.bounds2[i][1]:
-                ok = False
-                break
-        out[i - 1] = bool(out[i - 1] and ok)
+        out.append(bool(solo[i - 1] and no_positive[b > result.bounds2[i][1]].any(axis=0).all()))
     return out
 
 

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import AppConfig, ConditionalPmf, likelihood_ratios, posterior_update_array
-# robustify_app is imported only so that perfbench/spans.py can trace it under this module's name
+# robustify_app and optimize_secondary are imported only so that perfbench/spans.py can trace
+# them under this module's name
 from .robust import StageModel, robustify_app, robustify_system
 from .dp import (
     Grid,
@@ -37,7 +38,7 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import BudgetSpec, _solve_robustified
+from .budget import BudgetSpec, solve_system
 
 ENUMERATION_CAP = 10_000_000
 
@@ -630,28 +631,23 @@ def twin_experiment(system: CascadeSystem, priors: Sequence[float], trials: int 
     energies, the energy saving factor, the primary risk breakdown, and the
     secondary risk with sharing against a no-sharing ablation (shared
     feature removed).  When `trials` > 0 a Monte Carlo cross-check is
-    appended to each row.  The twin system is robustified once, since
+    appended to each row.  Each prior's system is solved by
+    `budget.solve_system`; the twin system is robustified once, since
     robustification does not depend on the prior.
     """
     primary = system.primary
     twin = replace(system, secondary=primary, shared=primary.stages, coupling="twin")
-    grid = Grid.uniform(system.grid_m)
     rows = []
     for p in priors:
-        sys_p = twin.at(prior=p)
-        app, _, _ = sys_p.robustified
-        if system.budget is not None:
-            sys_p = sys_p.at(lam=_solve_robustified(system.budget, grid, *sys_p.robustified).lam)
-        lam_p = sys_p.lam
-        pr = optimize_primary(app, lam_p, grid)
-        sr = optimize_secondary(app, app.stages, pr, lam_p)
+        solved = solve_system(twin.at(prior=p))
+        pr, sr, app = solved.primary, solved.secondary, solved.app1
         b1, en1, _ = forward_primary(pr, app)
-        b2, en2, _ = forward_secondary(sr, app, app.stages, app.prior)
+        b2, en2, _ = forward_secondary(sr, solved.app2, solved.shared, app.prior)
         b2a = b1  # without the shared feature the secondary is the primary's exact twin
 
         row = dict(
             prior=float(p),
-            lam=lam_p,
+            lam=solved.lam,
             e1_mj=en1,
             e2_mj=en2,
             saving=(en1 / en2) if en2 > 0 else math.inf,
@@ -666,7 +662,7 @@ def twin_experiment(system: CascadeSystem, priors: Sequence[float], trials: int 
             resource2_weighted=b2.weighted_resource,
         )
         if trials > 0:
-            rep = simulate(sys_p, pr, sr, n_trials=trials, seed=seed)
+            rep = simulate(solved.system, pr, sr, n_trials=trials, seed=seed)
             row.update(
                 sim_risk1=rep.primary.risk_mean,
                 sim_risk1_stderr=rep.primary.risk_stderr,

@@ -332,14 +332,15 @@ class TestCriterion8BudgetSolving:
         grid = Grid.uniform(101)
 
         # slack flag when the unconstrained optimum fits
-        sol = solve_lambda(BudgetSpec(budget_mj=1e6, baseline_mj=0.5), app, grid)
+        sol = solve_lambda(CascadeSystem(app, None, budget=BudgetSpec(budget_mj=1e6, baseline_mj=0.5),
+                                          grid_m=grid.m))
         assert sol.slack and sol.lam == 0.0
 
         # achievable targets matched within relative tolerance
         for lam0 in (0.01, 0.03, 0.08):
             e_ref, _ = _consumption(lam0, rapp, grid, None, None)
             spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
-            sol = solve_lambda(spec, app, grid)
+            sol = solve_lambda(CascadeSystem(app, None, budget=spec, grid_m=grid.m))
             target = spec.budget_mj - spec.baseline_mj
             assert sol.e1_mj <= target + 1e-12
             assert abs(sol.e1_mj - target) / target <= 1e-3

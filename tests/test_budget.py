@@ -14,8 +14,14 @@ from cascadeshare.budget import (
     expected_resource,
     solve_lambda,
 )
+from cascadeshare.sim import CascadeSystem
 
 from conftest import random_app, random_pmf
+
+
+def _budgeted(app, spec, grid):
+    """The primary-only system that solves `spec` on `grid`, a uniform grid."""
+    return CascadeSystem(app, None, budget=spec, grid_m=grid.m)
 
 
 class TestHardwareArithmetic:
@@ -95,7 +101,7 @@ class TestSolveLambda:
     def test_slack_when_budget_generous(self, rng):
         app = self._app(rng)
         spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.5, lambda_bracket=(0.0, 2.0))
-        sol = solve_lambda(spec, app, Grid.uniform(101))
+        sol = solve_lambda(_budgeted(app, spec, Grid.uniform(101)))
         assert sol.slack
         assert sol.lam == 0.0
 
@@ -103,7 +109,7 @@ class TestSolveLambda:
         app = self._app(rng)
         spec = BudgetSpec(budget_mj=0.6, baseline_mj=0.5, lambda_bracket=(0.0, 1e-9))
         with pytest.raises(BracketFailureError):
-            solve_lambda(spec, app, Grid.uniform(101))
+            solve_lambda(_budgeted(app, spec, Grid.uniform(101)))
 
     def test_achievable_target_met_within_tolerance(self, rng):
         """Budgets placed on the achievable consumption curve are matched."""
@@ -115,7 +121,7 @@ class TestSolveLambda:
         for lam0 in (0.02, 0.05):
             e_ref, _ = _consumption(lam0, rapp, grid, None, None)
             spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
-            sol = solve_lambda(spec, app, grid)
+            sol = solve_lambda(_budgeted(app, spec, grid))
             assert not sol.slack
             target = spec.budget_mj - spec.baseline_mj
             assert sol.e1_mj <= target + 1e-12
@@ -147,7 +153,7 @@ class TestSolveLambda:
         calls = []
         original = budget._consumption
         monkeypatch.setattr(budget, "_consumption", lambda *a, **kw: calls.append(a[0]) or original(*a, **kw))
-        sol = solve_lambda(spec, app, grid)
+        sol = solve_lambda(_budgeted(app, spec, grid))
         assert sol.lam == mid and not sol.slack
         assert sol.e1_mj <= target
         assert len(calls) == 2 + midpoints < 10
@@ -176,7 +182,7 @@ class TestSolveLambda:
     def test_json_shape(self, rng):
         app = self._app(rng)
         spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.5)
-        doc = solve_lambda(spec, app, Grid.uniform(51)).to_json()
+        doc = solve_lambda(_budgeted(app, spec, Grid.uniform(51))).to_json()
         assert set(doc) == {"lambda", "E1_mJ", "E2_mJ", "baseline_mJ", "total_mJ", "slack"}
 
 

@@ -209,7 +209,7 @@ class TestBudgetOverride:
 
         from cascadeshare.budget import BudgetSpec, solve_lambda
         from cascadeshare.cli import load_config
-        from cascadeshare.dp import Grid
+        from cascadeshare.sim import CascadeSystem
 
         priors = (0.05, 0.2)
         proc = run_cli("twin", "--config", str(CONFIG), "--budget-mJ", str(self.BUDGET_MJ),
@@ -222,11 +222,35 @@ class TestBudgetOverride:
         expected = []
         for p in priors:
             app = replace(cfg.primary, prior=p)
-            sol = solve_lambda(spec, app, Grid.uniform(cfg.grid_m), secondary_app=app,
-                               shared_stages=cfg.primary.stages)
+            sol = solve_lambda(CascadeSystem(app, None, secondary=app, shared=cfg.primary.stages,
+                                             budget=spec, grid_m=cfg.grid_m))
             expected.append(sol.lam)
         assert [r["lam"] for r in rows] == expected
         assert expected[0] != expected[1]
+
+    def test_solve_system_searches_the_budget_once(self, monkeypatch, tmp_path):
+        from cascadeshare import budget, cli
+
+        config, _ = self._budget_config(tmp_path, self.BUDGET_MJ)
+        calls = []
+        original = budget.solve_lambda
+        monkeypatch.setattr(budget, "solve_lambda", lambda system: calls.append(system) or original(system))
+        solved = cli.solve_system(cli.load_config(str(config)))
+        assert len(calls) == 1
+        assert solved.budget_solution.lam == solved.lam
+
+    def test_budget_json_is_the_search_record(self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from cascadeshare import cli
+        from cascadeshare.budget import BudgetSpec, solve_lambda
+
+        assert cli.main(["optimize", "--config", str(CONFIG), "--budget-mJ", str(self.BUDGET_MJ),
+                         "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cfg = cli.load_config(str(CONFIG))
+        system = replace(cfg, lam=None, budget=BudgetSpec(budget_mj=self.BUDGET_MJ, baseline_mj=cfg.baseline_mj))
+        assert json.loads((tmp_path / "budget.json").read_text()) == solve_lambda(system).to_json()
 
     def test_lambda_and_budget_override_together_rejected(self, tmp_path):
         proc = run_cli("optimize", "--config", str(CONFIG), "--lambda", "0.004",
@@ -308,6 +332,28 @@ class TestCsvWriter:
         _write_csv(got, header, rows)
         self._reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestJsonWriter:
+    """`cli._write_json` writes the bytes of the writer that walked every document with `_jsonable`."""
+
+    def test_matches_the_walking_writer(self, tmp_path):
+        import numpy as np
+
+        from cascadeshare import cli
+
+        solved = cli.solve_system(cli.load_config(str(CONFIG)))
+        docs = [
+            cli.policy_to_json(solved),
+            {"ints": np.arange(3, dtype=np.int8).tolist(), "n": np.int64(7), "ok": np.bool_(True),
+             "x": np.float64(0.1), "y": np.float32(0.5), "nested": [[1, 2], [True, False]]},
+            {"saving": float("inf"), "nan": [1.0, float("nan")], "n": np.int64(2), "z": np.float64("-inf")},
+        ]
+        for i, doc in enumerate(docs):
+            cli._write_json(tmp_path / f"{i}.json", doc)
+            walked = json.dumps(cli._jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert (tmp_path / f"{i}.json").read_text() == walked
+        assert json.loads((tmp_path / "2.json").read_text()) == {"saving": None, "nan": [1.0, None], "n": 2, "z": None}
 
 
 class TestEstimate:

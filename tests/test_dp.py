@@ -569,3 +569,147 @@ class TestTieRule:
         b2, _, _ = forward_secondary(solved.secondary, solved.app2, solved.shared, prior)
         assert b1.total == pytest.approx(solved.primary.value_at(prior), abs=1e-12)
         assert b2.total == pytest.approx(solved.secondary.value_at(solved.app2.prior, prior), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference loops of the cascade-form checks and the with-branch thresholds
+# ---------------------------------------------------------------------------
+
+def reference_check_cascade_optimality(values, grid, fa_cost, bounds):
+    """Per stage: the largest belief whose value beats declaring positive, against the envelope."""
+    k = values.shape[0] - 1
+    b = grid.points
+    out = []
+    for i in range(1, k):
+        no_positive = values[i] - fa_cost * (1.0 - b) < 0
+        if not no_positive.any():
+            out.append(False)
+            continue
+        largest = float(b[np.flatnonzero(no_positive).max()])
+        out.append(bool(largest > bounds[i][1]))
+    return out
+
+
+def reference_cascade_optimality_secondary(result, app2):
+    """The solo chain's check and, per stage, the same test column by column."""
+    k = result.k
+    solo = reference_check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+    out = list(solo)
+    b = result.grid2.points
+    for i in range(1, k):
+        no_positive = result.with_values[i] - app2.fa_cost * (1.0 - b)[:, None] < 0
+        ok = True
+        for j in range(result.grid1.m):
+            col = no_positive[:, j]
+            if not col.any():
+                ok = False
+                break
+            if float(b[np.flatnonzero(col).max()]) <= result.bounds2[i][1]:
+                ok = False
+                break
+        out[i - 1] = bool(out[i - 1] and ok)
+    return out
+
+
+def reference_eta(result, app2):
+    """With-branch stop thresholds, one column at a time, from the stored continuation tables."""
+    b2 = result.grid2.points
+    eta = np.zeros_like(result.eta)
+    for i in range(1, result.k):
+        stop = app2.miss_cost * b2
+        best_cont = np.minimum(result.shared_cont[i], result.lam * app2.stages[i].cost_mj + result.own_cont[i])
+        lo, hi = result.bounds2[i]
+        for j in range(result.grid1.m):
+            if result.primary_continue[i - 1][j]:
+                eta[i - 1, j] = dp._clamp(dp._stop_threshold(result.grid2, stop, best_cont[:, j]), lo, hi)
+            else:
+                eta[i - 1, j] = result.tau_without[i - 1]
+    return eta
+
+
+class TestCascadeFormChecks:
+    """The one-expression checks decide as the per-belief and per-column loops did."""
+
+    @staticmethod
+    def _random_case(rng):
+        """Tables around the positive-declaration cost, with envelopes on grid points or between them."""
+        from types import SimpleNamespace
+
+        k = int(rng.integers(2, 5))
+        m2, m1 = int(rng.integers(2, 12)), int(rng.integers(2, 7))
+        grid2 = Grid.uniform(m2) if rng.random() < 0.5 else Grid.from_points(rng.random(m2 - 2))
+        m2 = grid2.m
+        fa = float(rng.uniform(0.5, 3.0))
+        base = fa * (1.0 - grid2.points)
+
+        def table(shape):
+            # per column, a share of entries below the cost: none, some, or all
+            density = rng.choice([0.0, 0.2, 0.5, 0.9, 1.0], size=shape[1:])
+            below = rng.random(shape) < density
+            margin = rng.random(shape) * rng.choice([0.0, 1.0], size=shape)  # exact ties are not below
+            return base.reshape((-1,) + (1,) * (len(shape) - 1)) + np.where(below, -1.0 - margin, margin)
+
+        def bound():
+            if rng.random() < 0.6:
+                return float(grid2.points[rng.integers(m2)])  # on a grid point
+            return float(rng.uniform(-0.1, 1.1))
+
+        bounds2 = [(0.0, bound()) for _ in range(k + 1)]
+        with_values = np.stack([table((m2, m1)) for _ in range(k + 1)])
+        if rng.random() < 0.5:
+            with_values[:, :, rng.integers(m1)] = base + 1.0  # a column with no entry below
+        result = SimpleNamespace(k=k, grid2=grid2, grid1=SimpleNamespace(m=m1), bounds2=bounds2,
+                                 with_values=with_values,
+                                 without_values=np.stack([table((m2, 1))[:, 0] for _ in range(k + 1)]))
+        return result, SimpleNamespace(fa_cost=fa)
+
+    def test_match_the_loops_on_random_tables(self, rng):
+        outcomes = set()
+        for _ in range(3000):
+            result, app2 = self._random_case(rng)
+            got = dp.check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+            assert got == reference_check_cascade_optimality(
+                result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+            got2 = dp.cascade_optimality_secondary(result, app2)
+            assert got2 == reference_cascade_optimality_secondary(result, app2)
+            outcomes.update(got + got2)
+        assert outcomes == {True, False}
+
+    def test_match_the_loops_on_optimized_tables(self, rng):
+        from cascadeshare.dp import cascade_optimality_secondary
+
+        for _ in range(20):
+            app = random_app(rng, k=3, bins=3)
+            rapp = robustify_app(app)
+            lam = float(rng.uniform(0.0, 0.2))
+            pr = optimize_primary(rapp, lam, Grid.uniform(31))
+            sr = optimize_secondary(rapp, rapp.stages, pr, lam)
+            assert cascade_optimality_primary(pr, rapp) == reference_check_cascade_optimality(
+                pr.values, pr.grid, rapp.fa_cost, pr.bounds)
+            assert cascade_optimality_secondary(sr, rapp) == reference_cascade_optimality_secondary(sr, rapp)
+
+
+class TestWithBranchThresholds:
+    """`optimize_secondary`'s masked argmax gives the per-column loop's thresholds bit for bit."""
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_gcw(self, m):
+        solved = _solve_gcw(m)
+        np.testing.assert_array_equal(solved.secondary.eta, reference_eta(solved.secondary, solved.app2))
+
+    def test_random_instances(self, rng):
+        from cascadeshare.robust import robustify_system
+
+        for trial in range(30):
+            app1 = random_app(rng, k=int(rng.integers(2, 5)), bins=3)
+            if trial % 2:
+                app2, shared = app1, app1.stages
+            else:
+                app2 = replace(random_app(rng, k=app1.k, bins=3), prior=app1.prior)
+                shared = random_app(rng, k=app1.k, bins=3).stages
+            r1, r2, rshared = robustify_system(app1, app2, shared)
+            lam = float(rng.uniform(0.0, 0.3))
+            pr = optimize_primary(r1, lam, Grid.uniform(int(rng.integers(5, 60))))
+            grid2 = None if trial % 3 else Grid.from_points(rng.random(int(rng.integers(3, 40))))
+            sr = optimize_secondary(r2, rshared, pr, lam, grid2)
+            np.testing.assert_array_equal(sr.eta, reference_eta(sr, r2))
