@@ -10,13 +10,14 @@ that close, it narrows the bracket to 1e-12 of its width and returns the
 smallest multiplier seen within budget.
 
 `solve_system` is how every command and the twin experiment turn a system
-into policies: solve the multiplier if the system has a budget, then
-optimize both applications at it.
+into policies: optimize both applications at the system's multiplier, or,
+when the system has a budget, keep the policies its search solved at the
+multiplier it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .models import AppConfig
@@ -108,12 +109,21 @@ def expected_resource(
 
 @dataclass(frozen=True)
 class LambdaSolution:
+    """The multiplier a budget search returned, its consumption, and the policies it solved there.
+
+    `primary` and `secondary` are the search's own solves at `lam`; a
+    solution built from a given multiplier leaves them None.  They are not
+    part of `to_json`.
+    """
+
     lam: float
     e1_mj: float
     e2_mj: float
     baseline_mj: float
     total_mj: float
     slack: bool
+    primary: Optional[PrimaryResult] = field(default=None, repr=False, compare=False)
+    secondary: Optional[SecondaryResult] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -126,14 +136,22 @@ class LambdaSolution:
         }
 
 
-def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, ops=(None, None)):
+def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, ops=(None, None),
+                 policies: Optional[list] = None):
+    """(E1, E2) of both applications optimized at `lam`.
+
+    When `policies` is a list, the primary and secondary (or None) policies
+    solved at `lam` are appended to it.
+    """
     ops1, ops2 = ops
     pr = optimize_primary(app, lam, grid, _ops=ops1)
     _, e1, _ = forward_primary(pr, app, _ops=ops1)
-    e2 = 0.0
+    e2, sr = 0.0, None
     if app2 is not None:
         sr = optimize_secondary(app2, shared_stages, pr, lam, _ops=ops2)
         _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior, _ops=ops2)
+    if policies is not None:
+        policies += [pr, sr]
     return e1, e2
 
 
@@ -148,7 +166,8 @@ def solve_lambda(system: CascadeSystem) -> LambdaSolution:
     and returns the first midpoint whose consumption is within budget and
     within `tolerance * target` of the target; when none is, the bracket is
     narrowed to 1e-12 of its width and the cheapest multiplier seen within
-    budget is returned.
+    budget is returned.  The solution carries the policies the search solved
+    at the returned multiplier.
 
     The stage models do not depend on the multiplier, so each stage's
     belief-transition operator is built once here and reused by every
@@ -166,33 +185,37 @@ def solve_lambda(system: CascadeSystem) -> LambdaSolution:
     target = spec.budget_mj - spec.baseline_mj
     lo, hi = spec.lambda_bracket
 
-    e1, e2 = _consumption(lo, app, grid, app2, shared, ops)
-    if e1 + e2 <= target:
-        return LambdaSolution(lo, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, True)
+    def solve_at(lam, slack=False):
+        policies = []
+        e1, e2 = _consumption(lam, app, grid, app2, shared, ops, policies)
+        if e1 + e2 > target:
+            policies = []  # the search never returns this multiplier, so let its policies go now
+        return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, slack, *policies)
 
-    e1_hi, e2_hi = _consumption(hi, app, grid, app2, shared, ops)
-    if e1_hi + e2_hi > target:
+    at_lo = solve_at(lo, slack=True)
+    if at_lo.e1_mj + at_lo.e2_mj <= target:
+        return at_lo
+
+    best = solve_at(hi)
+    if best.e1_mj + best.e2_mj > target:
         raise BracketFailureError(
-            f"consumption {e1_hi + e2_hi:.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
+            f"consumption {best.e1_mj + best.e2_mj:.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
         )
 
-    best = (hi, e1_hi, e2_hi)
     width0 = hi - lo
     for _ in range(60):  # more halvings than a double has digits
         if hi - lo <= 1e-12 * width0:
             break
         mid = 0.5 * (lo + hi)
-        e1_m, e2_m = _consumption(mid, app, grid, app2, shared, ops)
-        if e1_m + e2_m > target:
+        at_mid = solve_at(mid)
+        used = at_mid.e1_mj + at_mid.e2_mj
+        if used > target:
             lo = mid
             continue
-        hi = mid
-        best = (mid, e1_m, e2_m)
-        if target - (e1_m + e2_m) <= spec.tolerance * target:
+        hi, best = mid, at_mid
+        if target - used <= spec.tolerance * target:
             break
-
-    lam, e1, e2 = best
-    return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, False)
+    return best
 
 
 @dataclass
@@ -222,12 +245,11 @@ class Solved:
 
 
 def solve_system(system: CascadeSystem) -> Solved:
-    """Solve the system's multiplier if it has a budget, then optimize both applications."""
-    budget_solution = None
+    """Optimize both applications at the system's multiplier, or take them from its budget search."""
     if system.lam is None:
-        budget_solution = solve_lambda(system)
-        system = system.at(lam=budget_solution.lam)
+        solution = solve_lambda(system)
+        return Solved(system.at(lam=solution.lam), solution.primary, solution.secondary, solution)
     app1, app2, shared = system.robustified
     pr = optimize_primary(app1, system.lam, Grid.uniform(system.grid_m))
     sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
-    return Solved(system, pr, sr, budget_solution)
+    return Solved(system, pr, sr, None)

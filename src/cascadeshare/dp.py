@@ -131,10 +131,16 @@ def _stage_operators(grid: Grid, stages: Sequence[StageModel], ops=None) -> list
 
 
 def _secondary_operators(grid2: Grid, app2: AppConfig, shared_stages, ops=None) -> tuple:
-    """(own, shared) per-stage operators of the secondary on its own-belief grid."""
+    """(own, shared) per-stage operators of the secondary on its own-belief grid.
+
+    A twin clone's shared chain is its own chain, and then both are the same operators.
+    """
     if ops is not None:
         return ops
-    return _stage_operators(grid2, app2.stages), _stage_operators(grid2, shared_stages)
+    own = _stage_operators(grid2, app2.stages)
+    if shared_stages is app2.stages:
+        return own, own
+    return own, _stage_operators(grid2, shared_stages)
 
 
 def _require_robustified(stages: Sequence[StageModel]):
@@ -330,10 +336,12 @@ def optimize_secondary(
         app2.prior,
     )
 
-    with_values = np.zeros((k + 1, m2, m1))
+    # one block for all (M2 x M1) value tables: once glibc has freed a block this size it raises its
+    # mmap threshold to it and serves later solves from pages it keeps, where 3K + 1 separate
+    # tables at large M are faulted in afresh on every solve
+    tables = np.zeros((3 * k + 1, m2, m1))
+    with_values, shared_cont, own_cont = tables[:k + 1], tables[k + 1:2 * k + 1], tables[2 * k + 1:]
     without_values = np.zeros((k + 1, m2))
-    shared_cont = np.zeros((k, m2, m1))
-    own_cont = np.zeros((k, m2, m1))
     actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
     actions_without = np.zeros((max(k - 1, 0), m2), dtype=bool)
     eta = np.zeros((max(k - 1, 0), m1))
@@ -354,7 +362,11 @@ def optimize_secondary(
         cont_wo = lam * own.cost_mj + t_own.expect(without_values[i + 1])
         # written in place: fresh (M2 x M1) temporaries cost page faults at large M
         f1 = t_shared.expect(with_values[i + 1], out=shared_cont[i])
-        f2 = t_own.expect(with_values[i + 1], out=own_cont[i])
+        if t_own is t_shared:  # a twin clone: both features give the same expectation
+            f2 = own_cont[i]
+            f2[...] = f1
+        else:
+            f2 = t_own.expect(with_values[i + 1], out=own_cont[i])
         priced = lam * own.cost_mj + f2
 
         if i == 0:

@@ -473,6 +473,22 @@ def _estimate(cost_samples: np.ndarray, energy: np.ndarray, lam: float,
     )
 
 
+_CHUNK = 1 << 16  # trials per block of uniforms in `simulate`: the size of its working set
+
+
+def _sampler(model: ConditionalPmf):
+    """Inverse-CDF draws of `model`'s bins: `draw(x, u)` reads the p1 CDF where x holds, p0 elsewhere."""
+    c0, c1 = np.cumsum(model.p0), np.cumsum(model.p1)
+    top = model.bins - 1
+
+    def draw(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        y = np.searchsorted(c0, u, side="right")
+        y[x] = np.searchsorted(c1, u[x], side="right")
+        return np.minimum(y, top, out=y)
+
+    return draw
+
+
 def simulate(
     system: CascadeSystem,
     primary_result: PrimaryResult,
@@ -489,6 +505,12 @@ def simulate(
     Philox stream keyed by the seed, with one row of uniforms per trial, so
     reports are bit-identical across runs and platforms for fixed inputs.
 
+    The uniforms are drawn and processed in consecutive chunks of `_CHUNK`
+    rows of that one stream, and within a chunk each feature is drawn and
+    each rule looked up only for the trials that reach it.  No output
+    depends on the chunking; only the per-trial result columns grow with
+    the trial count, and the moments are taken over them at the end.
+
     The report's `trials` holds the per-trial results as columns keyed by
     the `trials.csv` header (without `trial`, the row number): views of the
     run's own arrays, with booleans as int8 and each trial's per-stage
@@ -499,92 +521,95 @@ def simulate(
     has2 = system.secondary is not None and secondary_result is not None
     app1, app2, shared = system.robustified
     k = app1.k
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((n_trials, 2 + 2 * k))
-
-    x1 = u[:, 0] < app1.prior
-    if has2:
-        x2 = x1.copy() if system.coupling == "twin" else (u[:, 1] < app2.prior)
-
-    def draw(model: ConditionalPmf, x: np.ndarray, uu: np.ndarray) -> np.ndarray:
-        c0 = np.cumsum(model.p0)
-        c1 = np.cumsum(model.p1)
-        y0 = np.searchsorted(c0, uu, side="right")
-        y1 = np.searchsorted(c1, uu, side="right")
-        return np.clip(np.where(x, y1, y0), 0, model.bins - 1)
-
-    y1 = np.stack([draw(app1.stages[i].nominal, x1, u[:, 2 + i]) for i in range(k)], axis=1)
-    if has2:
-        y2 = np.stack([draw(app2.stages[i].nominal, x2, u[:, 2 + k + i]) for i in range(k)], axis=1)
-
-    r1tab = [likelihood_ratios(app1.stages[i].effective) for i in range(k)]
-    if has2:
-        r2own = [likelihood_ratios(app2.stages[i].effective) for i in range(k)]
-        r2sh = [likelihood_ratios(shared[i].effective) for i in range(k)]
-
     lam = system.lam
-    pi1 = np.full(n_trials, app1.prior)
-    alive1 = np.ones(n_trials, dtype=bool)
+    pr, sr = primary_result, secondary_result
+
+    draw1 = [_sampler(s.nominal) for s in app1.stages]
+    r1tab = [likelihood_ratios(s.effective) for s in app1.stages]
+    x1 = np.empty(n_trials, dtype=bool)
+    xhat1 = np.zeros(n_trials, dtype=bool)
     stop_stage1 = np.full(n_trials, k)
     e1 = np.full(n_trials, app1.stages[0].cost_mj)
     acts1 = np.full((n_trials, k), "-", dtype="U1")
 
     if has2:
-        pi2 = np.full(n_trials, app2.prior)
-        alive2 = np.ones(n_trials, dtype=bool)
+        draw2 = [_sampler(s.nominal) for s in app2.stages]
+        r2own = [likelihood_ratios(s.effective) for s in app2.stages]
+        r2sh = [likelihood_ratios(s.effective) for s in shared]
+        x2 = np.empty(n_trials, dtype=bool)
+        xhat2 = np.zeros(n_trials, dtype=bool)
         stop_stage2 = np.full(n_trials, k)
-        e2 = np.zeros(n_trials)
+        # every trial takes its first secondary feature from the same source
+        first_own = no_sharing or _lookup_table(sr, sr.delta0, app2.prior, app1.prior) == USE_OWN
+        e2 = np.full(n_trials, app2.stages[0].cost_mj if first_own else 0.0)
         acts2 = np.full((n_trials, k + 1), "-", dtype="U1")
-        # source of the next update: shared draw or own draw
-        if no_sharing:
-            delta0_own = np.ones(n_trials, dtype=bool)
-        else:
-            d0 = _lookup_table(secondary_result, secondary_result.delta0, app2.prior, app1.prior)
-            delta0_own = np.full(n_trials, d0 == USE_OWN)
-        e2 += np.where(delta0_own, app2.stages[0].cost_mj, 0.0)
-        acts2[:, 0] = np.where(delta0_own, "2", "1")
-        src_own = delta0_own.copy()
-        forced_solo = np.full(n_trials, no_sharing)
+        acts2[:, 0] = "2" if first_own else "1"
+    else:
+        x2 = acts2 = xhat2 = stop_stage2 = None
 
-    for i in range(1, k + 1):
-        pi1 = np.where(alive1, posterior_update_array(pi1, r1tab[i - 1][y1[:, i - 1]]), pi1)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for lo in range(0, n_trials, _CHUNK):
+        hi = min(lo + _CHUNK, n_trials)
+        u = rng.random((hi - lo, 2 + 2 * k))
+        rows = np.arange(hi - lo)
+
+        # index arrays of the live trials; beliefs are chunk-long, read and written through them
+        x1c = np.less(u[:, 0], app1.prior, out=x1[lo:hi])
+        pi1 = np.full(rows.size, app1.prior)
+        live1 = rows
         if has2:
-            upd = np.where(src_own, r2own[i - 1][y2[:, i - 1]], r2sh[i - 1][y1[:, i - 1]])
-            pi2 = np.where(alive2, posterior_update_array(pi2, upd), pi2)
-        if i == k:
-            break
+            x2c = x2[lo:hi]
+            if system.coupling == "twin":
+                x2c[:] = x1c
+            else:
+                np.less(u[:, 1], app2.prior, out=x2c)
+            pi2 = np.full(rows.size, app2.prior)
+            live2 = rows
+            own, via_shared = (rows, rows[:0]) if first_own else (rows[:0], rows)
+            offered = np.full(rows.size, not no_sharing)  # the shared feature is on offer
+            y1 = np.empty(rows.size, dtype=np.intp)       # the primary's latest feature bin
 
-        go1 = _lookup_rule(primary_result.grid.points, primary_result.continue_mask[i - 1],
-                           primary_result.thresholds[i - 1], pi1) & alive1
-        newly_stopped = alive1 & ~go1
-        stop_stage1[newly_stopped] = i
-        acts1[alive1, i - 1] = np.where(go1[alive1], "F", "0")
-        e1 += np.where(go1, app1.stages[i].cost_mj, 0.0)
-        alive1 = go1
+        for i in range(1, k + 1):
+            y = draw1[i - 1](x1c[live1], u[live1, 1 + i])
+            pi1[live1] = posterior_update_array(pi1[live1], r1tab[i - 1][y])
+            if has2:
+                y1[live1] = y
+                y = draw2[i - 1](x2c[own], u[own, 1 + k + i])
+                pi2[own] = posterior_update_array(pi2[own], r2own[i - 1][y])
+                pi2[via_shared] = posterior_update_array(pi2[via_shared], r2sh[i - 1][y1[via_shared]])
+            if i == k:
+                break
 
+            go = _lookup_rule(pr.grid.points, pr.continue_mask[i - 1], pr.thresholds[i - 1], pi1[live1])
+            acts1[lo + live1, i - 1] = np.where(go, "F", "0")
+            stopped = live1[~go]
+            stop_stage1[lo + stopped] = i
+            live1 = live1[go]
+            e1[lo + live1] += app1.stages[i].cost_mj
+
+            if has2:
+                offered[stopped] = False
+                avail = offered[live2]
+                act = np.empty(live2.size, dtype=np.int8)
+                w = live2[avail]
+                act[avail] = _lookup_table(sr, sr.actions_with[i - 1], pi2[w], pi1[w])
+                w = live2[~avail]
+                act[~avail] = np.where(_lookup_rule(sr.grid2.points, sr.actions_without[i - 1],
+                                                    sr.tau_without[i - 1], pi2[w]), USE_OWN, STOP)
+                acts2[lo + live2, i] = np.array(["0", "1", "2"])[act]
+                going = act != STOP
+                stop_stage2[lo + live2[~going]] = i
+                live2, act = live2[going], act[going]
+                own, via_shared = live2[act == USE_OWN], live2[act != USE_OWN]
+                e2[lo + own] += app2.stages[i].cost_mj
+
+        declared = _lookup_rule(pr.grid.points, pr.declare_mask, pr.thresholds[k - 1], pi1[live1])
+        xhat1[lo + live1] = declared
+        acts1[lo + live1, k - 1] = np.where(declared, "1", "0")
         if has2:
-            avail = go1 & ~forced_solo
-            act = np.where(
-                avail,
-                _lookup_table(secondary_result, secondary_result.actions_with[i - 1], pi2, pi1),
-                np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.actions_without[i - 1],
-                                      secondary_result.tau_without[i - 1], pi2), USE_OWN, STOP),
-            )
-            act = np.where(alive2, act, -1)
-            stopping2 = alive2 & (act == STOP)
-            stop_stage2[stopping2] = i
-            acts2[alive2, i] = np.array(["0", "1", "2"])[act[alive2]]
-            going2 = alive2 & (act != STOP)
-            src_own = act == USE_OWN
-            e2 += np.where(going2 & src_own, app2.stages[i].cost_mj, 0.0)
-            forced_solo = forced_solo | ~go1
-            alive2 = going2
-
-    declared1 = _lookup_rule(primary_result.grid.points, primary_result.declare_mask,
-                             primary_result.thresholds[k - 1], pi1)
-    xhat1 = alive1 & declared1
-    acts1[alive1, k - 1] = np.where(declared1[alive1], "1", "0")
+            declared = _lookup_rule(sr.grid2.points, sr.declare_mask, sr.final_threshold, pi2[live2])
+            xhat2[lo + live2] = declared
+            acts2[lo + live2, k] = np.where(declared, "1", "0")
 
     miss1 = app1.miss_cost * (x1 & ~xhat1)
     fa1 = app1.fa_cost * (~x1 & xhat1)
@@ -592,15 +617,9 @@ def simulate(
 
     est2 = None
     if has2:
-        declared2 = _lookup_rule(secondary_result.grid2.points, secondary_result.declare_mask,
-                                 secondary_result.final_threshold, pi2)
-        xhat2 = alive2 & declared2
-        acts2[alive2, k] = np.where(declared2[alive2], "1", "0")
         miss2 = app2.miss_cost * (x2 & ~xhat2)
         fa2 = app2.fa_cost * (~x2 & xhat2)
         est2 = _estimate(miss2 + fa2, e2, lam, miss2, fa2)
-    else:
-        x2 = acts2 = xhat2 = stop_stage2 = None
 
     total_energy = e1 + (e2 if has2 else 0.0)
     columns = dict(x1=x1, x2=x2, actions1=acts1, actions2=acts2, xhat1=xhat1, xhat2=xhat2,

@@ -1,5 +1,7 @@
 """Energy accounting and multiplier search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cascadeshare.budget import (
     energy_mj,
     expected_resource,
     solve_lambda,
+    solve_system,
 )
 from cascadeshare.sim import CascadeSystem
 
@@ -184,6 +187,48 @@ class TestSolveLambda:
         spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.5)
         doc = solve_lambda(_budgeted(app, spec, Grid.uniform(51))).to_json()
         assert set(doc) == {"lambda", "E1_mJ", "E2_mJ", "baseline_mJ", "total_mJ", "slack"}
+
+
+def _assert_bitwise_equal(got, want, path="result"):
+    """Dataclasses field by field, arrays by dtype and bytes, floats by repr."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(want):
+            _assert_bitwise_equal(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), path
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_bitwise_equal(g, w, f"{path}[{i}]")
+    else:
+        assert repr(got) == repr(want), path
+
+
+class TestSolveSystem:
+    """A budget solve keeps the policies its search solved at the returned multiplier."""
+
+    def test_search_policies_equal_a_fresh_solve_at_the_multiplier(self, rng):
+        from cascadeshare.budget import _consumption
+
+        for twin in (False, True):
+            for _ in range(3):
+                app = random_app(rng, k=3, bins=4)
+                rapp = robustify_app(app)
+                grid = Grid.uniform(int(rng.integers(20, 80)))
+                app2, shared = (rapp, rapp.stages) if twin else (None, None)
+                e1, e2 = _consumption(float(rng.uniform(0.01, 0.2)), rapp, grid, app2, shared)
+                for budget_mj in (e1 + e2 + 0.5, 1e6):  # a bisection, and the bracket's slack end
+                    spec = BudgetSpec(budget_mj=budget_mj, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
+                    system = (CascadeSystem(app, None, secondary=app, shared=app.stages, coupling="twin",
+                                            budget=spec, grid_m=grid.m) if twin
+                              else _budgeted(app, spec, grid))
+                    solved = solve_system(system)
+                    fresh = solve_system(system.at(lam=solved.lam))
+                    assert solved.budget_solution.primary is solved.primary
+                    _assert_bitwise_equal(solved.primary, fresh.primary)
+                    _assert_bitwise_equal(solved.secondary, fresh.secondary)
+                    assert (solved.secondary is None) is not twin
 
 
 class TestBudgetSpecValidation:

@@ -468,6 +468,30 @@ class TestTransitionOperator:
         # rows are evidence distributions: each sums to one
         np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    def test_twin_clone_reuses_its_own_operators(self, rng):
+        """A twin clone's shared chain gets the own chain's operators and skips the second product;
+        the solve is bitwise the one with both chains' operators built and applied separately."""
+        from dataclasses import fields
+
+        from cascadeshare.sim import exact_grid_primary
+
+        for j in range(12):
+            app = robustify_app(random_app(rng, bins=int(rng.integers(2, 30))))
+            grid = exact_grid_primary(app) if j % 3 == 0 else Grid.uniform(int(rng.integers(3, 200)))
+            lam = float(rng.uniform(0.001, 0.2))
+            own, shared = dp._secondary_operators(grid, app, app.stages)
+            assert own is shared
+            pr = optimize_primary(app, lam, grid)
+            got = optimize_secondary(app, app.stages, pr, lam)
+            separate = (dp._stage_operators(grid, app.stages), dp._stage_operators(grid, app.stages))
+            want = optimize_secondary(app, app.stages, pr, lam, _ops=separate)
+            for f in fields(want):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(w, np.ndarray):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
+                else:
+                    assert repr(g) == repr(w), f.name
+
 
 def _assert_same_forward(got, want):
     (b_got, e_got, p_got), (b_want, e_want, p_want) = got, want

@@ -1,15 +1,28 @@
 """Monte Carlo harness, enumeration oracles, twin experiment."""
 
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from cascadeshare.models import AppConfig, ConditionalPmf, evidence_pmf, likelihood_ratios, posterior_update_array
 from cascadeshare.robust import StageModel, robustify_app, robustify_system
-from cascadeshare.dp import Grid, forward_primary, optimize_primary, optimize_secondary
+from cascadeshare.dp import (
+    STOP,
+    USE_OWN,
+    Grid,
+    PrimaryResult,
+    SecondaryResult,
+    forward_primary,
+    optimize_primary,
+    optimize_secondary,
+)
 from cascadeshare.sim import (
+    _CHUNK,
     CascadeSystem,
     EnumerationCapError,
     augmented_optimum,
@@ -19,9 +32,18 @@ from cascadeshare.sim import (
     simulate,
     twin_experiment,
 )
-from cascadeshare.sim import _lookup_table, _nearest_index
+from cascadeshare.sim import (
+    SimulationReport,
+    _estimate,
+    _lookup_rule,
+    _lookup_table,
+    _nearest_index,
+    _trials_column,
+)
 
 from conftest import assert_stages_bitwise_equal, random_app, random_pmf
+
+GCW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"
 
 
 def uninformative(bins=2):
@@ -394,3 +416,220 @@ class TestLookupTable:
             pr = optimize_primary(rapp, 0.05, exact_grid_primary(rapp))
             sr = optimize_secondary(rapp, rapp.stages, pr, 0.05, grid2=exact_grid_secondary(rapp, rapp.stages))
             self._assert_same_entries(rng, sr)
+
+
+# ---------------------------------------------------------------------------
+# the chunked simulator against the whole-array one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_simulate(
+    system: CascadeSystem,
+    primary_result: PrimaryResult,
+    secondary_result: Optional[SecondaryResult] = None,
+    n_trials: int = 100_000,
+    seed: int = 0,
+    no_sharing: bool = False,
+) -> SimulationReport:
+    """`simulate` as it was before chunking: every trial and stage in whole arrays at once."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    has2 = system.secondary is not None and secondary_result is not None
+    app1, app2, shared = system.robustified
+    k = app1.k
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n_trials, 2 + 2 * k))
+
+    x1 = u[:, 0] < app1.prior
+    if has2:
+        x2 = x1.copy() if system.coupling == "twin" else (u[:, 1] < app2.prior)
+
+    def draw(model: ConditionalPmf, x: np.ndarray, uu: np.ndarray) -> np.ndarray:
+        c0 = np.cumsum(model.p0)
+        c1 = np.cumsum(model.p1)
+        y0 = np.searchsorted(c0, uu, side="right")
+        y1 = np.searchsorted(c1, uu, side="right")
+        return np.clip(np.where(x, y1, y0), 0, model.bins - 1)
+
+    y1 = np.stack([draw(app1.stages[i].nominal, x1, u[:, 2 + i]) for i in range(k)], axis=1)
+    if has2:
+        y2 = np.stack([draw(app2.stages[i].nominal, x2, u[:, 2 + k + i]) for i in range(k)], axis=1)
+
+    r1tab = [likelihood_ratios(app1.stages[i].effective) for i in range(k)]
+    if has2:
+        r2own = [likelihood_ratios(app2.stages[i].effective) for i in range(k)]
+        r2sh = [likelihood_ratios(shared[i].effective) for i in range(k)]
+
+    lam = system.lam
+    pi1 = np.full(n_trials, app1.prior)
+    alive1 = np.ones(n_trials, dtype=bool)
+    stop_stage1 = np.full(n_trials, k)
+    e1 = np.full(n_trials, app1.stages[0].cost_mj)
+    acts1 = np.full((n_trials, k), "-", dtype="U1")
+
+    if has2:
+        pi2 = np.full(n_trials, app2.prior)
+        alive2 = np.ones(n_trials, dtype=bool)
+        stop_stage2 = np.full(n_trials, k)
+        e2 = np.zeros(n_trials)
+        acts2 = np.full((n_trials, k + 1), "-", dtype="U1")
+        # source of the next update: shared draw or own draw
+        if no_sharing:
+            delta0_own = np.ones(n_trials, dtype=bool)
+        else:
+            d0 = _lookup_table(secondary_result, secondary_result.delta0, app2.prior, app1.prior)
+            delta0_own = np.full(n_trials, d0 == USE_OWN)
+        e2 += np.where(delta0_own, app2.stages[0].cost_mj, 0.0)
+        acts2[:, 0] = np.where(delta0_own, "2", "1")
+        src_own = delta0_own.copy()
+        forced_solo = np.full(n_trials, no_sharing)
+
+    for i in range(1, k + 1):
+        pi1 = np.where(alive1, posterior_update_array(pi1, r1tab[i - 1][y1[:, i - 1]]), pi1)
+        if has2:
+            upd = np.where(src_own, r2own[i - 1][y2[:, i - 1]], r2sh[i - 1][y1[:, i - 1]])
+            pi2 = np.where(alive2, posterior_update_array(pi2, upd), pi2)
+        if i == k:
+            break
+
+        go1 = _lookup_rule(primary_result.grid.points, primary_result.continue_mask[i - 1],
+                           primary_result.thresholds[i - 1], pi1) & alive1
+        newly_stopped = alive1 & ~go1
+        stop_stage1[newly_stopped] = i
+        acts1[alive1, i - 1] = np.where(go1[alive1], "F", "0")
+        e1 += np.where(go1, app1.stages[i].cost_mj, 0.0)
+        alive1 = go1
+
+        if has2:
+            avail = go1 & ~forced_solo
+            act = np.where(
+                avail,
+                _lookup_table(secondary_result, secondary_result.actions_with[i - 1], pi2, pi1),
+                np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.actions_without[i - 1],
+                                      secondary_result.tau_without[i - 1], pi2), USE_OWN, STOP),
+            )
+            act = np.where(alive2, act, -1)
+            stopping2 = alive2 & (act == STOP)
+            stop_stage2[stopping2] = i
+            acts2[alive2, i] = np.array(["0", "1", "2"])[act[alive2]]
+            going2 = alive2 & (act != STOP)
+            src_own = act == USE_OWN
+            e2 += np.where(going2 & src_own, app2.stages[i].cost_mj, 0.0)
+            forced_solo = forced_solo | ~go1
+            alive2 = going2
+
+    declared1 = _lookup_rule(primary_result.grid.points, primary_result.declare_mask,
+                             primary_result.thresholds[k - 1], pi1)
+    xhat1 = alive1 & declared1
+    acts1[alive1, k - 1] = np.where(declared1[alive1], "1", "0")
+
+    miss1 = app1.miss_cost * (x1 & ~xhat1)
+    fa1 = app1.fa_cost * (~x1 & xhat1)
+    est1 = _estimate(miss1 + fa1, e1, lam, miss1, fa1)
+
+    est2 = None
+    if has2:
+        declared2 = _lookup_rule(secondary_result.grid2.points, secondary_result.declare_mask,
+                                 secondary_result.final_threshold, pi2)
+        xhat2 = alive2 & declared2
+        acts2[alive2, k] = np.where(declared2[alive2], "1", "0")
+        miss2 = app2.miss_cost * (x2 & ~xhat2)
+        fa2 = app2.fa_cost * (~x2 & xhat2)
+        est2 = _estimate(miss2 + fa2, e2, lam, miss2, fa2)
+    else:
+        x2 = acts2 = xhat2 = stop_stage2 = None
+
+    total_energy = e1 + (e2 if has2 else 0.0)
+    columns = dict(x1=x1, x2=x2, actions1=acts1, actions2=acts2, xhat1=xhat1, xhat2=xhat2,
+                   stop_stage1=stop_stage1, stop_stage2=stop_stage2, energy_mJ=total_energy)
+    return SimulationReport(
+        n_trials=n_trials,
+        seed=seed,
+        lam=lam,
+        primary=est1,
+        secondary=est2,
+        energy_total_mean=float(total_energy.mean()),
+        energy_total_stderr=float(total_energy.std(ddof=1) / math.sqrt(n_trials)),
+        trials={name: _trials_column(c) for name, c in columns.items()},
+    )
+
+
+def _assert_same_report(got, want):
+    fields = ("n_trials", "seed", "lam", "primary", "secondary", "energy_total_mean", "energy_total_stderr")
+    # repr, so that a NaN standard error at one trial compares equal
+    assert repr([getattr(got, f) for f in fields]) == repr([getattr(want, f) for f in fields])
+    assert got.trials.keys() == want.trials.keys()
+    for name, column in got.trials.items():
+        ref = want.trials[name]
+        if ref is None:
+            assert column is None, name
+        else:
+            assert column.dtype == ref.dtype and column.tobytes() == ref.tobytes(), name
+
+
+def _instance(rng, k, coupling, exact):
+    """A random two-application system of `k` stages and its policies, on uniform or exact grids."""
+    app1 = random_app(rng, k=k, bins=3)
+    lam = float(rng.uniform(0.002, 0.03))
+    if coupling == "twin":
+        system = CascadeSystem(app1, lam, secondary=app1, shared=app1.stages, coupling="twin")
+    else:
+        app2 = random_app(rng, k=k, bins=3)
+        shared = tuple(replace(s, cost_mj=0.0) for s in random_app(rng, k=k, bins=3).stages)
+        system = CascadeSystem(app1, lam, secondary=app2, shared=shared, coupling="independent")
+    r1, r2, rsh = system.robustified
+    pr = optimize_primary(r1, lam, exact_grid_primary(r1) if exact else Grid.uniform(int(rng.integers(3, 60))))
+    sr = optimize_secondary(r2, rsh, pr, lam, grid2=exact_grid_secondary(r2, rsh) if exact else None)
+    return system, pr, sr
+
+
+# a single trial has no standard error: both simulators report NaN and numpy warns
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestChunkedSimulate:
+    """`simulate` reproduces the whole-array reference bit for bit, across chunk boundaries."""
+
+    SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+    def test_matches_the_whole_array_reference(self, rng):
+        cases = [(k, coupling, exact) for k in (1, 2, 3) for coupling in ("twin", "independent")
+                 for exact in (False, True)]
+        for j, (k, coupling, exact) in enumerate(cases):
+            system, pr, sr = _instance(rng, k, coupling, exact)
+            seed = int(rng.integers(2**31))
+            # every case crosses the boundaries with sharing; the ablation and
+            # the primary-only run take one size each, in turn
+            for n in self.SIZES:
+                _assert_same_report(simulate(system, pr, sr, n, seed), reference_simulate(system, pr, sr, n, seed))
+            n = self.SIZES[j % len(self.SIZES)]
+            _assert_same_report(simulate(system, pr, sr, n, seed, no_sharing=True),
+                                reference_simulate(system, pr, sr, n, seed, no_sharing=True))
+            n = self.SIZES[(j + 2) % len(self.SIZES)]
+            _assert_same_report(simulate(system, pr, None, n, seed), reference_simulate(system, pr, None, n, seed))
+
+    def test_matches_the_reference_on_gcw(self):
+        from cascadeshare import cli
+
+        solved = cli.solve_system(cli.load_config(str(GCW_CONFIG)))
+        for n in (1, _CHUNK + 1, 3 * _CHUNK + 5):
+            for no_sharing in (False, True):
+                _assert_same_report(
+                    simulate(solved.system, solved.primary, solved.secondary, n, 7, no_sharing),
+                    reference_simulate(solved.system, solved.primary, solved.secondary, n, 7, no_sharing))
+
+    def test_working_set_is_one_chunk(self):
+        """Peak traced memory at 500 000 trials on gcw: the result columns and one chunk.
+
+        The whole-array simulator peaked at about 275 bytes per trial here.
+        """
+        from cascadeshare import cli
+
+        solved = cli.solve_system(cli.load_config(str(GCW_CONFIG)))
+        n = 500_000
+        tracemalloc.start()
+        try:
+            simulate(solved.system, solved.primary, solved.secondary, n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 180, f"{peak / n:.0f} bytes per trial"
