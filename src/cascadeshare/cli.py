@@ -202,9 +202,23 @@ def _csv_field(v) -> str:
     return text
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(",".join(map(_csv_field, row)) + "\n" for row in chain([header], rows))
+def _csv_fields(column) -> list[str]:
+    """`_csv_field` of each of a column's items; an array formats each distinct value once."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
+        # floats are keyed by their bits, so -0.0 and 0.0 keep their own fields
+        keys = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return np.array([_csv_field(v) for v in column[first].tolist()], dtype=object)[inverse].tolist()
+    return [_csv_field(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """`header` and the rows of `columns`, lists of fields (one may hold several joined), in one write."""
+    # joined from the fields and separators themselves, so no per-row string is built
+    ends = [repeat(",")] * (len(columns) - 1) + [repeat("\n")]
+    cells = chain.from_iterable(zip(*chain.from_iterable(zip(columns, ends))))
+    text = "".join(chain([",".join(map(_csv_field, header)), "\n"], cells))
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def policy_to_json(solved: Solved) -> dict:
@@ -239,28 +253,21 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
         models_doc["secondary"] = [stage_model_to_json(s) for s in solved.app2.stages]
         models_doc["shared"] = [stage_model_to_json(s) for s in solved.shared]
     _write_json(out_dir / "models.json", models_doc)
+    # the key columns are formatted once and shared by every stage's file
     pr = solved.primary
+    pi = _csv_fields(pr.grid.points)
     for i in range(pr.values.shape[0]):
-        _write_csv(
-            out_dir / f"values_stage_{i}.csv",
-            ["pi", "value"],
-            zip(pr.grid.points.tolist(), pr.values[i].tolist()),
-        )
+        _write_csv(out_dir / f"values_stage_{i}.csv", ["pi", "value"], [pi, _csv_fields(pr.values[i])])
     if solved.secondary is not None:
         sr = solved.secondary
-        g2, g1 = sr.grid2.points, sr.grid1.points
-        pi2, pi1 = np.repeat(g2, g1.size).tolist(), np.tile(g1, g2.size).tolist()
+        pi2, pi1 = _csv_fields(sr.grid2.points), _csv_fields(sr.grid1.points)
+        # rows run over pi1 within pi2, as np.repeat(pi2) and np.tile(pi1) lay them out
+        keys = [f"{a},{b}" for a in pi2 for b in pi1]
         for i in range(sr.without_values.shape[0]):
-            _write_csv(
-                out_dir / f"values2_without_stage_{i}.csv",
-                ["pi2", "value"],
-                zip(g2.tolist(), sr.without_values[i].tolist()),
-            )
-            _write_csv(
-                out_dir / f"values2_with_stage_{i}.csv",
-                ["pi2", "pi1", "value"],
-                zip(pi2, pi1, sr.with_values[i].ravel().tolist()),
-            )
+            _write_csv(out_dir / f"values2_without_stage_{i}.csv", ["pi2", "value"],
+                       [pi2, _csv_fields(sr.without_values[i])])
+            _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
+                       [keys, _csv_fields(sr.with_values[i].ravel())])
 
     # a budget solve already priced its multiplier; a given multiplier is priced here
     solution = solved.budget_solution
@@ -302,8 +309,9 @@ def _cmd_simulate(args) -> int:
     }
     _write_json(out_dir / "report.json", doc)
     if args.dump_trials:
-        columns = [repeat(None) if c is None else c.tolist() for c in report.trials.values()]
-        _write_csv(out_dir / "trials.csv", ["trial", *report.trials], zip(range(report.n_trials), *columns))
+        n = report.n_trials
+        columns = [[""] * n if c is None else _csv_fields(c) for c in report.trials.values()]
+        _write_csv(out_dir / "trials.csv", ["trial", *report.trials], [list(map(str, range(n))), *columns])
     print(json.dumps({"status": "ok", "risk1": report.primary.risk_mean}))
     return EXIT_OK
 
@@ -316,7 +324,7 @@ def _cmd_twin(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"rows": rows})
     header = list(rows[0].keys())
-    _write_csv(out_dir / "twin.csv", header, [[r[k] for k in header] for r in rows])
+    _write_csv(out_dir / "twin.csv", header, [_csv_fields([r[k] for r in rows]) for k in header])
     print(json.dumps({"status": "ok", "rows": len(rows)}))
     return EXIT_OK
 
@@ -389,7 +397,7 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0].keys())
-    _write_csv(out_dir / "sweep.csv", header, [[r[k] for k in header] for r in rows])
+    _write_csv(out_dir / "sweep.csv", header, [_csv_fields([r[k] for r in rows]) for k in header])
     print(json.dumps({"status": "ok", "rows": len(rows)}))
     return EXIT_OK
 

@@ -459,17 +459,21 @@ class SimulationReport:
     trials: dict = field(default_factory=dict)
 
 
+def _stderr(x: np.ndarray) -> float:
+    """The standard error of `x`'s mean; nan, without a warning, for fewer than two samples."""
+    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.nan
+
+
 def _estimate(cost_samples: np.ndarray, energy: np.ndarray, lam: float,
               miss: np.ndarray, fa: np.ndarray) -> AppEstimate:
-    n = cost_samples.size
     risk = cost_samples + lam * energy
     return AppEstimate(
         miss=float(miss.mean()),
         false_alarm=float(fa.mean()),
         energy_mean=float(energy.mean()),
-        energy_stderr=float(energy.std(ddof=1) / math.sqrt(n)),
+        energy_stderr=_stderr(energy),
         risk_mean=float(risk.mean()),
-        risk_stderr=float(risk.std(ddof=1) / math.sqrt(n)),
+        risk_stderr=_stderr(risk),
     )
 
 
@@ -631,7 +635,7 @@ def simulate(
         primary=est1,
         secondary=est2,
         energy_total_mean=float(total_energy.mean()),
-        energy_total_stderr=float(total_energy.std(ddof=1) / math.sqrt(n_trials)),
+        energy_total_stderr=_stderr(total_energy),
         trials={name: _trials_column(c) for name, c in columns.items()},
     )
 

@@ -78,6 +78,16 @@ class TestSimulate:
             assert proc.returncode == 0, proc.stderr
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_one_trial_warns_nothing(self, tmp_path):
+        """One trial has no standard error: the report says null and stderr stays empty."""
+        proc = run_cli("simulate", "--config", str(CONFIG), "--trials", "1", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["energy_total_stderr_mJ"] is None
+        for app in ("primary", "secondary"):
+            assert report[app]["energy_stderr"] is None and report[app]["risk_stderr"] is None
+
     def test_trials_dump(self, tmp_path):
         proc = run_cli("simulate", "--config", str(CONFIG), "--trials", "50",
                        "--seed", "1", "--dump-trials", "--out-dir", str(tmp_path))
@@ -303,21 +313,41 @@ class TestRobustifyOnce:
         assert count == stage_sets * self.K
 
 
-class TestCsvWriter:
-    """`cli._write_csv` writes the bytes that `csv.writer` with repr-formatted floats wrote."""
+def _reference_csv(path, header, rows):
+    """The CSV that `csv.writer` writes for `rows`, with floats in `repr` form."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
-    @staticmethod
-    def _reference(path, header, rows):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+def _rows(columns):
+    """The rows that writing `columns` row-wise took: each array as its `tolist()` items."""
+    return zip(*[c.tolist() if hasattr(c, "tolist") else c for c in columns])
+
+
+def _float_bits(bits):
+    import numpy as np
+
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# edges of float64 and of its formatting: both zeros, NaNs with another sign and payload, the
+# infinities, the smallest subnormal, a subnormal, the smallest normal and the largest finite value
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), _float_bits(0xFFF8000000000000), _float_bits(0x7FF0000000000001),
+                  float("inf"), float("-inf"), 5e-324, 1e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+class TestCsvWriter:
+    """`cli._write_csv` over `cli._csv_fields` columns writes the bytes that `csv.writer`
+    with repr-formatted floats wrote for the same rows."""
 
     def test_matches_csv_writer(self, tmp_path):
         import numpy as np
 
-        from cascadeshare.cli import _write_csv
+        from cascadeshare.cli import _csv_fields, _write_csv
 
         floats = [0.0, -0.0, 1.0 / 3.0, 1e-310, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                   float("inf"), float("-inf"), float("nan"), np.float64(0.1), np.float64(-2.5e-12)]
@@ -329,9 +359,138 @@ class TestCsvWriter:
         cells = floats + others
         rows = [tuple(cells[(i + j) % len(cells)] for j in range(3)) for i in range(len(cells))]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        _write_csv(got, header, rows)
-        self._reference(want, header, rows)
+        _write_csv(got, header, [_csv_fields(list(column)) for column in zip(*rows)])
+        _reference_csv(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_float_arrays_keep_signed_zeros_apart(self, tmp_path):
+        import numpy as np
+
+        from cascadeshare.cli import _csv_fields
+
+        column = np.array([0.0, -0.0, -0.0, 0.0, float("nan"), _float_bits(0xFFF8000000000000)])
+        assert _csv_fields(column) == ["0.0", "-0.0", "-0.0", "0.0", "nan", "nan"]
+
+    @staticmethod
+    def _columns(draw, n):
+        """One float64 column of repeats of a few values, and one column of each other kind."""
+        import numpy as np
+        from hypothesis import strategies as st
+
+        def column(elements):
+            return draw(st.lists(elements, min_size=n, max_size=n))
+
+        pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6))
+        texts = st.sampled_from(["", "F0-", "a,b", 'say "hi"', "two\nlines"]) | st.text(
+            st.characters(codec="utf-8", exclude_characters="\r\x00"), max_size=4)
+        return {
+            "f64": np.array(column(st.sampled_from(pool)), dtype=np.float64),
+            "f64_free": np.array(column(st.floats()), dtype=np.float64),
+            "int64": np.array(column(st.integers(-2**63, 2**63 - 1)), dtype=np.int64),
+            "int8": np.array(column(st.integers(-128, 127)), dtype=np.int8),
+            "bool": np.array(column(st.booleans()), dtype=bool),
+            "str": np.array(column(texts), dtype=str),
+            "f32": np.array(column(st.floats(width=32)), dtype=np.float32),
+            "pyint": column(st.integers(-2**70, 2**70)),
+            "pyfloat": column(st.sampled_from(SPECIAL_FLOATS) | st.floats()),
+            "none": [None] * n,
+        }
+
+    def test_columns_match_the_row_writer(self, tmp_path):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from cascadeshare.cli import _csv_fields, _write_csv
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(0, 40))
+            columns = self._columns(data.draw, n)
+            header = data.draw(st.permutations(sorted(columns)))
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            _write_csv(got, header, [_csv_fields(columns[h]) for h in header])
+            _reference_csv(want, header, _rows([columns[h] for h in header]))
+            assert got.read_bytes() == want.read_bytes()
+
+        check()
+
+
+def _parent_value_tables(solved, out, pi2_by=None):
+    """Each value table as the row-wise writer built it: `np.repeat`/`np.tile` key columns and
+    `tolist()` rows, through `csv.writer`.  `pi2_by` lays out the `pi2` key column instead."""
+    import numpy as np
+
+    pr = solved.primary
+    for i in range(pr.values.shape[0]):
+        _reference_csv(out / f"values_stage_{i}.csv", ["pi", "value"],
+                       zip(pr.grid.points.tolist(), pr.values[i].tolist()))
+    if solved.secondary is not None:
+        sr = solved.secondary
+        g2, g1 = sr.grid2.points, sr.grid1.points
+        pi2 = (pi2_by or np.repeat)(g2, g1.size).tolist()
+        pi1 = np.tile(g1, g2.size).tolist()
+        for i in range(sr.without_values.shape[0]):
+            _reference_csv(out / f"values2_without_stage_{i}.csv", ["pi2", "value"],
+                           zip(g2.tolist(), sr.without_values[i].tolist()))
+            _reference_csv(out / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
+                           zip(pi2, pi1, sr.with_values[i].ravel().tolist()))
+
+
+def _primary_only_config(tmp_path):
+    doc = json.loads(CONFIG.read_text())
+    del doc["secondary"]
+    path = tmp_path / "primary_only.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestArtifactsMatchRowWriter:
+    """The column writer's artifacts are the bytes the row-wise construction wrote."""
+
+    @pytest.mark.parametrize("primary_only", [False, True])
+    def test_value_tables(self, tmp_path, primary_only):
+        import numpy as np
+
+        from cascadeshare import cli
+
+        config = _primary_only_config(tmp_path) if primary_only else CONFIG
+        solved = cli.solve_system(cli.load_config(str(config)))
+        assert solved.primary.grid.m == 100
+        got, want = tmp_path / "got", tmp_path / "want"
+        want.mkdir()
+        cli.emit_optimize_artifacts(solved, got)
+        _parent_value_tables(solved, want)
+        names = sorted(p.name for p in want.iterdir())
+        assert names == sorted(p.name for p in got.glob("values*_stage_*.csv"))
+        assert len(names) == (4 if primary_only else 12)
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+        if not primary_only:
+            # the comparison sees a key column laid out in the wrong order
+            tiled = tmp_path / "tiled"
+            tiled.mkdir()
+            _parent_value_tables(solved, tiled, pi2_by=np.tile)
+            assert (got / "values2_with_stage_0.csv").read_bytes() != (tiled / "values2_with_stage_0.csv").read_bytes()
+
+    @pytest.mark.parametrize("primary_only", [False, True])
+    def test_trials(self, tmp_path, capsys, primary_only):
+        from itertools import repeat
+
+        from cascadeshare import cli
+        from cascadeshare.sim import simulate
+
+        config = _primary_only_config(tmp_path) if primary_only else CONFIG
+        n, seed = 3000, 4
+        assert cli.main(["simulate", "--config", str(config), "--trials", str(n), "--seed", str(seed),
+                         "--dump-trials", "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        solved = cli.solve_system(cli.load_config(str(config)))
+        report = simulate(solved.system, solved.primary, solved.secondary, n_trials=n, seed=seed)
+        assert (report.trials["x2"] is None) == primary_only
+        columns = [repeat(None) if c is None else c.tolist() for c in report.trials.values()]
+        _reference_csv(tmp_path / "want.csv", ["trial", *report.trials], zip(range(n), *columns))
+        assert (tmp_path / "out" / "trials.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestJsonWriter:

@@ -79,6 +79,22 @@ class TestDeterminism:
         assert a.primary.risk_mean != b.primary.risk_mean
         assert all(a.trials[name] is None for name in ("x2", "actions2", "xhat2", "stop_stage2"))
 
+    def test_one_trial_raises_no_warning(self, rng):
+        """A standard error needs two trials: with one, each is nan and no numpy warning is issued."""
+        import warnings
+
+        app = random_app(rng, k=2, bins=3)
+        rapp = robustify_app(app)
+        pr = optimize_primary(rapp, 0.1, Grid.uniform(51))
+        sr = optimize_secondary(rapp, rapp.stages, pr, 0.1)
+        system = CascadeSystem(app, 0.1, secondary=app, shared=app.stages, coupling="twin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = simulate(system, pr, sr, n_trials=1, seed=3)
+        for est in (report.primary, report.secondary):
+            assert math.isnan(est.energy_stderr) and math.isnan(est.risk_stderr)
+        assert math.isnan(report.energy_total_stderr)
+
 
 class TestSimulateClosedForms:
     def test_certain_target_has_no_false_alarms(self, rng):
