@@ -410,24 +410,6 @@ def augmented_optimum(system: CascadeSystem, primary_result: Optional[PrimaryRes
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
-def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
-    pos = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
-    lo = pos - 1
-    return np.where(x - grid[lo] <= grid[pos] - x, lo, pos)
-
-
-def _lookup_rule(grid: np.ndarray, mask: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
-    """A threshold rule on a grid: the stored action at an exact grid node, `pi >= threshold` elsewhere."""
-    pos = np.clip(np.searchsorted(grid, pi), 0, grid.size - 1)
-    exact = grid[pos] == pi
-    return np.where(exact, mask[pos], pi >= threshold)
-
-
-def _lookup_table(result: SecondaryResult, table: np.ndarray, pi2, pi1):
-    """`table`'s entry at the grid nodes nearest (pi2, pi1); a grid belief reads its own node."""
-    return table[_nearest_index(result.grid2.points, pi2), _nearest_index(result.grid1.points, pi1)]
-
-
 def _trials_column(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """A zero-copy view for `SimulationReport.trials`: flags as int8, an (n, k) action array as n k-strings."""
     if a is None or a.dtype.kind not in "bU":
@@ -478,16 +460,66 @@ def _estimate(cost_samples: np.ndarray, energy: np.ndarray, lam: float,
 
 
 _CHUNK = 1 << 16  # trials per block of uniforms in `simulate`: the size of its working set
+_GUIDE_BUCKETS = 1 << 12  # buckets per unit interval in a `_Guide`'s table
+
+
+class _Guide:
+    """`np.searchsorted(points, x, side)` for a fixed sorted `points`, read from a guide table.
+
+    The table (Chen & Asau 1974) has a bucket [j/B, (j+1)/B) for each
+    j < B = `_GUIDE_BUCKETS` and the bucket {1.0} for j = B; x * B is exact,
+    so truncating it gives x's bucket.  A bucket whose lowest and highest
+    doubles get the same answer holds it, and that answer is exact for every
+    x in the bucket because the search is monotone in x.  Needles in the
+    other buckets, or outside [0, 1] (NaN included), go to `np.searchsorted`.
+    """
+
+    def __init__(self, points: np.ndarray, side: str = "left"):
+        self.points, self.side = points, side
+        lowest = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        highest = np.append(np.nextafter(lowest[1:], 0.0), 1.0)
+        answer = np.searchsorted(points, lowest, side)
+        # -1 marks a bucket whose needles do not all get one answer
+        self.table = np.where(answer == np.searchsorted(points, highest, side), answer, -1)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        t = x * _GUIDE_BUCKETS
+        inside = (t >= 0.0) & (t <= _GUIDE_BUCKETS)  # NaN fails both
+        pos = self.table[np.where(inside, t, 0.0).astype(np.intp)]
+        redo = np.flatnonzero((pos < 0) | ~inside)
+        if redo.size:
+            pos[redo] = np.searchsorted(self.points, x[redo], self.side)
+        return pos
+
+
+def _nearest(guide: _Guide, x: np.ndarray) -> np.ndarray:
+    """The index of the grid node nearest each x; a tie goes to the lower node."""
+    grid = guide.points
+    pos = np.clip(guide(x), 1, grid.size - 1)
+    lo = pos - 1
+    return np.where(x - grid[lo] <= grid[pos] - x, lo, pos)
+
+
+def _lookup_rule(guide: _Guide, mask: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
+    """A threshold rule on a grid: the stored action at an exact grid node, `pi >= threshold` elsewhere."""
+    grid = guide.points
+    pos = np.minimum(guide(pi), grid.size - 1)
+    return np.where(grid[pos] == pi, mask[pos], pi >= threshold)
+
+
+def _lookup_table(table: np.ndarray, guide2: _Guide, guide1: _Guide, pi2: np.ndarray, pi1: np.ndarray):
+    """`table`'s entries at the grid nodes nearest (pi2, pi1); a grid belief reads its own node."""
+    return table[_nearest(guide2, pi2), _nearest(guide1, pi1)]
 
 
 def _sampler(model: ConditionalPmf):
     """Inverse-CDF draws of `model`'s bins: `draw(x, u)` reads the p1 CDF where x holds, p0 elsewhere."""
-    c0, c1 = np.cumsum(model.p0), np.cumsum(model.p1)
+    c0, c1 = _Guide(np.cumsum(model.p0), "right"), _Guide(np.cumsum(model.p1), "right")
     top = model.bins - 1
 
     def draw(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        y = np.searchsorted(c0, u, side="right")
-        y[x] = np.searchsorted(c1, u[x], side="right")
+        y = c0(u)
+        y[x] = c1(u[x])
         return np.minimum(y, top, out=y)
 
     return draw
@@ -514,6 +546,9 @@ def simulate(
     each rule looked up only for the trials that reach it.  No output
     depends on the chunking; only the per-trial result columns grow with
     the trial count, and the moments are taken over them at the end.
+    Every per-trial search (a feature's inverse CDF, a belief's grid
+    position) reads a `_Guide` table built once per call for each CDF and
+    grid, and gets exactly the index `np.searchsorted` would.
 
     The report's `trials` holds the per-trial results as columns keyed by
     the `trials.csv` header (without `trial`, the row number): views of the
@@ -535,6 +570,8 @@ def simulate(
     stop_stage1 = np.full(n_trials, k)
     e1 = np.full(n_trials, app1.stages[0].cost_mj)
     acts1 = np.full((n_trials, k), "-", dtype="U1")
+    codes1 = acts1.view(np.uint32)  # the actions' code points: written as integers, read as strings
+    guide_p = _Guide(pr.grid.points)
 
     if has2:
         draw2 = [_sampler(s.nominal) for s in app2.stages]
@@ -543,11 +580,14 @@ def simulate(
         x2 = np.empty(n_trials, dtype=bool)
         xhat2 = np.zeros(n_trials, dtype=bool)
         stop_stage2 = np.full(n_trials, k)
+        guide2, guide1 = (guide_p if g.points is pr.grid.points else _Guide(g.points) for g in (sr.grid2, sr.grid1))
         # every trial takes its first secondary feature from the same source
-        first_own = no_sharing or _lookup_table(sr, sr.delta0, app2.prior, app1.prior) == USE_OWN
+        first_own = no_sharing or _lookup_table(sr.delta0, guide2, guide1, np.array([app2.prior]),
+                                                np.array([app1.prior]))[0] == USE_OWN
         e2 = np.full(n_trials, app2.stages[0].cost_mj if first_own else 0.0)
         acts2 = np.full((n_trials, k + 1), "-", dtype="U1")
         acts2[:, 0] = "2" if first_own else "1"
+        codes2 = acts2.view(np.uint32)
     else:
         x2 = acts2 = xhat2 = stop_stage2 = None
 
@@ -584,8 +624,8 @@ def simulate(
             if i == k:
                 break
 
-            go = _lookup_rule(pr.grid.points, pr.continue_mask[i - 1], pr.thresholds[i - 1], pi1[live1])
-            acts1[lo + live1, i - 1] = np.where(go, "F", "0")
+            go = _lookup_rule(guide_p, pr.continue_mask[i - 1], pr.thresholds[i - 1], pi1[live1])
+            codes1[lo + live1, i - 1] = np.where(go, ord("F"), ord("0"))
             stopped = live1[~go]
             stop_stage1[lo + stopped] = i
             live1 = live1[go]
@@ -596,24 +636,24 @@ def simulate(
                 avail = offered[live2]
                 act = np.empty(live2.size, dtype=np.int8)
                 w = live2[avail]
-                act[avail] = _lookup_table(sr, sr.actions_with[i - 1], pi2[w], pi1[w])
+                act[avail] = _lookup_table(sr.actions_with[i - 1], guide2, guide1, pi2[w], pi1[w])
                 w = live2[~avail]
-                act[~avail] = np.where(_lookup_rule(sr.grid2.points, sr.actions_without[i - 1],
+                act[~avail] = np.where(_lookup_rule(guide2, sr.actions_without[i - 1],
                                                     sr.tau_without[i - 1], pi2[w]), USE_OWN, STOP)
-                acts2[lo + live2, i] = np.array(["0", "1", "2"])[act]
+                codes2[lo + live2, i] = act + ord("0")
                 going = act != STOP
                 stop_stage2[lo + live2[~going]] = i
                 live2, act = live2[going], act[going]
                 own, via_shared = live2[act == USE_OWN], live2[act != USE_OWN]
                 e2[lo + own] += app2.stages[i].cost_mj
 
-        declared = _lookup_rule(pr.grid.points, pr.declare_mask, pr.thresholds[k - 1], pi1[live1])
+        declared = _lookup_rule(guide_p, pr.declare_mask, pr.thresholds[k - 1], pi1[live1])
         xhat1[lo + live1] = declared
-        acts1[lo + live1, k - 1] = np.where(declared, "1", "0")
+        codes1[lo + live1, k - 1] = np.where(declared, ord("1"), ord("0"))
         if has2:
-            declared = _lookup_rule(sr.grid2.points, sr.declare_mask, sr.final_threshold, pi2[live2])
+            declared = _lookup_rule(guide2, sr.declare_mask, sr.final_threshold, pi2[live2])
             xhat2[lo + live2] = declared
-            acts2[lo + live2, k] = np.where(declared, "1", "0")
+            codes2[lo + live2, k] = np.where(declared, ord("1"), ord("0"))
 
     miss1 = app1.miss_cost * (x1 & ~xhat1)
     fa1 = app1.fa_cost * (~x1 & xhat1)

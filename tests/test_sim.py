@@ -8,9 +8,11 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cascadeshare.models import AppConfig, ConditionalPmf, evidence_pmf, likelihood_ratios, posterior_update_array
-from cascadeshare.robust import StageModel, robustify_app, robustify_system
+from cascadeshare.robust import StageModel, UncertaintyParams, robustify_app, robustify_system
 from cascadeshare.dp import (
     STOP,
     USE_OWN,
@@ -32,14 +34,8 @@ from cascadeshare.sim import (
     simulate,
     twin_experiment,
 )
-from cascadeshare.sim import (
-    SimulationReport,
-    _estimate,
-    _lookup_rule,
-    _lookup_table,
-    _nearest_index,
-    _trials_column,
-)
+from cascadeshare import sim
+from cascadeshare.sim import SimulationReport, _estimate, _Guide, _trials_column
 
 from conftest import assert_stages_bitwise_equal, random_app, random_pmf
 
@@ -388,6 +384,29 @@ class TestSystemCopies:
             CascadeSystem(app, 0.1, budget=BudgetSpec(budget_mj=5.0))
 
 
+# ---------------------------------------------------------------------------
+# the grid lookups `simulate` made with `np.searchsorted` before its guide tables,
+# kept as they were: `reference_simulate` and the lookup tests read them
+# ---------------------------------------------------------------------------
+
+def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    pos = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
+    lo = pos - 1
+    return np.where(x - grid[lo] <= grid[pos] - x, lo, pos)
+
+
+def _lookup_rule(grid: np.ndarray, mask: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
+    """A threshold rule on a grid: the stored action at an exact grid node, `pi >= threshold` elsewhere."""
+    pos = np.clip(np.searchsorted(grid, pi), 0, grid.size - 1)
+    exact = grid[pos] == pi
+    return np.where(exact, mask[pos], pi >= threshold)
+
+
+def _lookup_table(result: SecondaryResult, table: np.ndarray, pi2, pi1):
+    """`table`'s entry at the grid nodes nearest (pi2, pi1); a grid belief reads its own node."""
+    return table[_nearest_index(result.grid2.points, pi2), _nearest_index(result.grid1.points, pi1)]
+
+
 def _exact_then_nearest(result, table, pi2, pi1):
     """The lookup `simulate` used before `_lookup_table`: a belief pair on the
     grid reads its own node, any other pair the nearest node."""
@@ -401,7 +420,7 @@ def _exact_then_nearest(result, table, pi2, pi1):
 
 
 class TestLookupTable:
-    """`_lookup_table` reads the same entries as the exact-then-nearest lookup it replaced."""
+    """`sim._lookup_table` reads the same entries as the exact-then-nearest lookup it replaced."""
 
     @staticmethod
     def _beliefs(rng, points, n=200):
@@ -412,11 +431,13 @@ class TestLookupTable:
     def _assert_same_entries(self, rng, sr):
         pi2 = self._beliefs(rng, sr.grid2.points)
         pi1 = np.concatenate([rng.permutation(self._beliefs(rng, sr.grid1.points)[:-4]), [0.0, 1.0, 0.0, 1.0]])
+        g2, g1 = _Guide(sr.grid2.points), _Guide(sr.grid1.points)
         for table in (sr.delta0, *sr.actions_with):
-            np.testing.assert_array_equal(_lookup_table(sr, table, pi2, pi1),
+            np.testing.assert_array_equal(sim._lookup_table(table, g2, g1, pi2, pi1),
                                           _exact_then_nearest(sr, table, pi2, pi1))
         for b2, b1 in zip(pi2[::50], pi1[::50]):
-            assert _lookup_table(sr, sr.delta0, float(b2), float(b1)) == _exact_then_nearest(sr, sr.delta0, b2, b1)
+            assert (sim._lookup_table(sr.delta0, g2, g1, np.array([b2]), np.array([b1]))[0]
+                    == _exact_then_nearest(sr, sr.delta0, b2, b1))
 
     def test_uniform_grids(self, rng):
         for m in (2, 3, 41, 100):
@@ -432,6 +453,62 @@ class TestLookupTable:
             pr = optimize_primary(rapp, 0.05, exact_grid_primary(rapp))
             sr = optimize_secondary(rapp, rapp.stages, pr, 0.05, grid2=exact_grid_secondary(rapp, rapp.stages))
             self._assert_same_entries(rng, sr)
+
+
+_B = sim._GUIDE_BUCKETS
+_NEEDLES = np.array([0.0, -0.0, 1.0, 5e-324, -5e-324, np.nextafter(1.0, 0.0), np.nan, np.inf, -np.inf,
+                     np.nextafter(1.0, 2.0), 1.0 + 1.0 / _B, 1.5, 1e300])
+
+
+def _on_and_beside(j):
+    """The bucket edge j / B and the doubles one ulp either side of it."""
+    v = j / _B
+    return [np.nextafter(v, -1.0), v, np.nextafter(v, 2.0)]
+
+
+@st.composite
+def _sorted_points(draw):
+    """A CDF with zero-mass bins, or an exact grid with repeats and entries on and beside bucket edges."""
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 3.0]) | st.floats(0.0, 1.0),
+                                   min_size=1, max_size=40)))
+        return np.cumsum(w / w.sum()) if w.sum() > 0 else np.zeros(w.size)
+    edges = st.integers(0, _B).flatmap(lambda j: st.sampled_from(_on_and_beside(j)))
+    values = draw(st.lists(edges | st.floats(0.0, 1.0), min_size=1, max_size=30))
+    return np.sort(np.repeat(values, draw(st.lists(st.integers(1, 3), min_size=len(values),
+                                                       max_size=len(values)))))
+
+
+def _split_buckets(points, side):
+    """The buckets in which `np.searchsorted(points, x, side)` takes more than one value.
+
+    The answer steps at each point inside [0, 1).  Side "left" counts the
+    points below x, so a point steps it inside its own bucket unless it is
+    that bucket's highest double; side "right" counts the points up to x, so
+    unless it is the bucket's lowest double.  The bucket {1.0} holds one double.
+    """
+    inside = points[(points >= 0.0) & (points < 1.0)]
+    j = (inside * _B).astype(np.intp)
+    edge = np.nextafter((j + 1) / _B, 0.0) if side == "left" else j / _B
+    return set(j[inside != edge].tolist())
+
+
+class TestGuide:
+    """`_Guide` returns exactly `np.searchsorted`, and sends needles to it only from split buckets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=_sorted_points(), side=st.sampled_from(["left", "right"]),
+           free=st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example(points=np.cumsum(np.full(10, 0.1)), side="right", free=[])
+    def test_equals_searchsorted(self, points, side, free):
+        guide = _Guide(points, side)
+        near = np.concatenate([np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)])
+        edges = (np.clip(np.floor(near * _B), 0, _B) + np.array([[0.0], [1.0]])).ravel() / _B
+        x = np.concatenate([_NEEDLES, near, edges, np.nextafter(edges, 0.0), free])
+        got, want = guide(x), np.searchsorted(points, x, side)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert set(np.flatnonzero(guide.table < 0).tolist()) == _split_buckets(points, side)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +699,25 @@ class TestChunkedSimulate:
                                 reference_simulate(system, pr, sr, n, seed, no_sharing=True))
             n = self.SIZES[(j + 2) % len(self.SIZES)]
             _assert_same_report(simulate(system, pr, None, n, seed), reference_simulate(system, pr, None, n, seed))
+
+    def test_zero_mass_bins(self):
+        """Stage models with empty bins, the top one included: flat CDF steps, a CDF whose last entry
+        rounds below 1.0, zero, infinite and NaN likelihood ratios, and beliefs of exactly 0 and 1
+        on exact grids."""
+        pmfs = [ConditionalPmf(p0=np.array([0.5, 0.5, 0.0, 0.0]), p1=np.array([0.0, 0.3, 0.7, 0.0])),
+                ConditionalPmf(p0=np.array([0.2, 0.3, 0.5, 0.0]), p1=np.array([0.1, 0.0, 0.4, 0.5])),
+                ConditionalPmf(p0=np.full(10, 0.1), p1=np.array([0.0] * 5 + [0.1, 0.2, 0.3, 0.4, 0.0]))]
+        app1 = AppConfig(0.3, 1.0, 1.5, [StageModel(p, UncertaintyParams(), c) for p, c in zip(pmfs, (0.5, 1.0, 2.0))])
+        app2 = AppConfig(0.2, 2.0, 1.0, [StageModel(p, UncertaintyParams(), 0.7) for p in pmfs[::-1]])
+        n = _CHUNK + 1
+        for system in (CascadeSystem(app1, 0.01, secondary=app1, shared=app1.stages, coupling="twin"),
+                       CascadeSystem(app1, 0.01, secondary=app2, shared=app1.stages, coupling="independent")):
+            r1, r2, rsh = system.robustified
+            pr = optimize_primary(r1, system.lam, exact_grid_primary(r1))
+            sr = optimize_secondary(r2, rsh, pr, system.lam, grid2=exact_grid_secondary(r2, rsh))
+            got = simulate(system, pr, sr, n, 11)
+            _assert_same_report(got, reference_simulate(system, pr, sr, n, 11))
+            assert set(got.trials["actions1"].tolist()) == {"0--", "F0-", "FF1"}
 
     def test_matches_the_reference_on_gcw(self):
         from cascadeshare import cli
