@@ -27,8 +27,6 @@ from .dp import (
     Grid,
     PrimaryResult,
     SecondaryResult,
-    _secondary_operators,
-    _stage_operators,
     forward_primary,
     forward_secondary,
     optimize_primary,
@@ -136,20 +134,18 @@ class LambdaSolution:
         }
 
 
-def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, ops=(None, None),
-                 policies: Optional[list] = None):
-    """(E1, E2) of both applications optimized at `lam`.
+def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, policies: Optional[list] = None):
+    """(E1, E2) of both applications optimized at `lam` on `grid`.
 
     When `policies` is a list, the primary and secondary (or None) policies
     solved at `lam` are appended to it.
     """
-    ops1, ops2 = ops
-    pr = optimize_primary(app, lam, grid, _ops=ops1)
-    _, e1, _ = forward_primary(pr, app, _ops=ops1)
+    pr = optimize_primary(app, lam, grid)
+    _, e1, _ = forward_primary(pr, app)
     e2, sr = 0.0, None
     if app2 is not None:
-        sr = optimize_secondary(app2, shared_stages, pr, lam, _ops=ops2)
-        _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior, _ops=ops2)
+        sr = optimize_secondary(app2, shared_stages, pr, lam)
+        _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior)
     if policies is not None:
         policies += [pr, sr]
     return e1, e2
@@ -158,8 +154,8 @@ def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, op
 def solve_lambda(system: CascadeSystem) -> LambdaSolution:
     """Bisection on the multiplier until the system's consumption meets its budget.
 
-    Searches `system.budget` on the system's robustified models and uniform
-    grid of `system.grid_m` points; raises ValueError when the system has
+    Searches `system.budget` on the system's robustified models and its
+    grid, `system.grid`; raises ValueError when the system has
     no budget.  Returns with the slack flag when the bracket's lower end
     (normally 0) already satisfies the budget; raises BracketFailureError
     when even the top of the bracket consumes too much.  Otherwise bisects
@@ -169,25 +165,21 @@ def solve_lambda(system: CascadeSystem) -> LambdaSolution:
     budget is returned.  The solution carries the policies the search solved
     at the returned multiplier.
 
-    The stage models do not depend on the multiplier, so each stage's
-    belief-transition operator is built once here and reused by every
-    solve of the search; it is dropped when the search returns.
+    The stage models do not depend on the multiplier, and the system's grid
+    keeps each stage's belief-transition operator, so every solve of the
+    search, and any later one on the system, reuses those the first built.
     """
     spec = system.budget
     if spec is None:
         raise ValueError("the system has no budget to solve the multiplier from")
-    grid = Grid.uniform(system.grid_m)
+    grid = system.grid
     app, app2, shared = system.robustified
-    ops = (
-        _stage_operators(grid, app.stages),
-        None if app2 is None else _secondary_operators(grid, app2, shared),
-    )
     target = spec.budget_mj - spec.baseline_mj
     lo, hi = spec.lambda_bracket
 
     def solve_at(lam, slack=False):
         policies = []
-        e1, e2 = _consumption(lam, app, grid, app2, shared, ops, policies)
+        e1, e2 = _consumption(lam, app, grid, app2, shared, policies)
         if e1 + e2 > target:
             policies = []  # the search never returns this multiplier, so let its policies go now
         return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, slack, *policies)
@@ -250,6 +242,6 @@ def solve_system(system: CascadeSystem) -> Solved:
         solution = solve_lambda(system)
         return Solved(system.at(lam=solution.lam), solution.primary, solution.secondary, solution)
     app1, app2, shared = system.robustified
-    pr = optimize_primary(app1, system.lam, Grid.uniform(system.grid_m))
+    pr = optimize_primary(app1, system.lam, system.grid)
     sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
     return Solved(system, pr, sr, None)

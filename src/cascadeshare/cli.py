@@ -142,7 +142,7 @@ def _run_config(args) -> CascadeSystem:
     budget.
     """
     system = load_config(args.config)
-    if args.grid:
+    if args.grid is not None:
         system = replace(system, grid_m=int(args.grid))
     if args.budget_mj is None:
         return system if args.lam is None else replace(system, lam=args.lam, budget=None)
@@ -213,7 +213,7 @@ def _csv_fields(column) -> list[str]:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """`header` and the rows of `columns`, lists of fields (one may hold several joined), in one write."""
+    """`header` and the rows of `columns`, lists of fields, in one write."""
     # joined from the fields and separators themselves, so no per-row string is built
     ends = [repeat(",")] * (len(columns) - 1) + [repeat("\n")]
     cells = chain.from_iterable(zip(*chain.from_iterable(zip(columns, ends))))
@@ -261,13 +261,14 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
     if solved.secondary is not None:
         sr = solved.secondary
         pi2, pi1 = _csv_fields(sr.grid2.points), _csv_fields(sr.grid1.points)
-        # rows run over pi1 within pi2, as np.repeat(pi2) and np.tile(pi1) lay them out
-        keys = [f"{a},{b}" for a in pi2 for b in pi1]
+        # rows run over pi1 within pi2, as np.repeat(pi2) and np.tile(pi1) lay them out; both key
+        # columns refer to the fields formatted once above
+        pi2_col, pi1_col = [a for a in pi2 for _ in pi1], pi1 * len(pi2)
         for i in range(sr.without_values.shape[0]):
             _write_csv(out_dir / f"values2_without_stage_{i}.csv", ["pi2", "value"],
                        [pi2, _csv_fields(sr.without_values[i])])
             _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
-                       [keys, _csv_fields(sr.with_values[i].ravel())])
+                       [pi2_col, pi1_col, _csv_fields(sr.with_values[i].ravel())])
 
     # a budget solve already priced its multiplier; a given multiplier is priced here
     solution = solved.budget_solution
@@ -288,11 +289,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    solved = solve_system(_run_config(args))
-    system = solved.system
+    system = _run_config(args)
+    n_trials = system.trials if args.trials is None else args.trials
+    if n_trials < 1:
+        raise ConfigError("need at least one trial")
+    solved = solve_system(system)
     report = simulate(
-        system, solved.primary, solved.secondary,
-        n_trials=args.trials if args.trials else system.trials,
+        solved.system, solved.primary, solved.secondary,
+        n_trials=n_trials,
         seed=args.seed if args.seed is not None else system.seed,
         no_sharing=args.no_sharing,
     )
@@ -318,7 +322,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_twin(args) -> int:
     system = _run_config(args)
-    rows = twin_experiment(system, _priors(args, system), trials=args.trials or 0,
+    if args.trials is not None and args.trials < 0:
+        raise ConfigError("--trials must be nonnegative")
+    rows = twin_experiment(system, _priors(args, system), trials=0 if args.trials is None else args.trials,
                            seed=args.seed if args.seed is not None else system.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

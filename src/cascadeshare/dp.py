@@ -32,7 +32,7 @@ from .robust import StageModel
 
 @dataclass(frozen=True)
 class Grid:
-    """Sorted belief grid covering [0, 1]."""
+    """Sorted belief grid covering [0, 1], which keeps the transition operators built on it."""
 
     points: np.ndarray
 
@@ -46,6 +46,8 @@ class Grid:
             raise ValueError("grid must span [0, 1] exactly")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        # not a field, so fields and repr stay the points'; an entry holds its model, so its id key stays unique
+        object.__setattr__(self, "_transitions", {})
 
     @property
     def m(self) -> int:
@@ -62,6 +64,16 @@ class Grid:
         """Grid from arbitrary belief values (0 and 1 are added if missing)."""
         pts = np.unique(np.concatenate([[0.0, 1.0], np.asarray(points, float).ravel()]))
         return cls(pts)
+
+    def transition(self, model: ConditionalPmf) -> "_Transition":
+        """`model`'s belief transition on this grid: built on first use, the same object from then on.
+
+        An operator depends only on the points and the model, so every solve on this grid shares it.
+        """
+        entry = self._transitions.get(id(model))
+        if entry is None:
+            entry = self._transitions[id(model)] = (model, _Transition(self, model))
+        return entry[1]
 
 
 @dataclass(frozen=True)
@@ -123,24 +135,9 @@ class _Transition:
         return self.matrix.T @ mass
 
 
-def _stage_operators(grid: Grid, stages: Sequence[StageModel], ops=None) -> list:
-    """One transition operator per stage, unless the caller built them already."""
-    if ops is not None:
-        return ops
-    return [_Transition(grid, stage.effective) for stage in stages]
-
-
-def _secondary_operators(grid2: Grid, app2: AppConfig, shared_stages, ops=None) -> tuple:
-    """(own, shared) per-stage operators of the secondary on its own-belief grid.
-
-    A twin clone's shared chain is its own chain, and then both are the same operators.
-    """
-    if ops is not None:
-        return ops
-    own = _stage_operators(grid2, app2.stages)
-    if shared_stages is app2.stages:
-        return own, own
-    return own, _stage_operators(grid2, shared_stages)
+def _stage_operators(grid: Grid, stages: Sequence[StageModel]) -> list:
+    """The grid's transition operator of each stage's planning model."""
+    return [grid.transition(stage.effective) for stage in stages]
 
 
 def _require_robustified(stages: Sequence[StageModel]):
@@ -198,15 +195,14 @@ class PrimaryResult:
         return float(np.interp(pi, self.grid.points, self.values[0]))
 
 
-def optimize_primary(app: AppConfig, lam: float, grid: Grid, *, _ops=None) -> PrimaryResult:
+def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
     """Backward value iteration for the primary cascade.
 
     The final stage value is the Bayes envelope min(C_M*pi, C_A*(1-pi));
     intermediate stages compare stopping against the resource-priced
     expected next-stage value.  Thresholds are the smallest grid points
     where continuing strictly wins, clamped to the stage envelope.  Exact
-    ties prefer the continue/positive branch.  `_ops` lets a caller that
-    solves the same system repeatedly pass the per-stage operators it built.
+    ties prefer the continue/positive branch.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -223,7 +219,7 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid, *, _ops=None) -> Pr
     thresholds[k - 1] = app.fa_cost / (app.fa_cost + app.miss_cost)
     cont_values = np.zeros((max(k - 1, 0), grid.m))
     continue_mask = np.zeros((max(k - 1, 0), grid.m), dtype=bool)
-    ops = _stage_operators(grid, app.stages, _ops)
+    ops = _stage_operators(grid, app.stages)
 
     for i in range(k - 1, 0, -1):
         stage = app.stages[i]  # feature consumed when continuing from stage i
@@ -298,8 +294,6 @@ def optimize_secondary(
     primary: PrimaryResult,
     lam: float,
     grid2: Optional[Grid] = None,
-    *,
-    _ops=None,
 ) -> SecondaryResult:
     """Backward value iteration for the secondary application.
 
@@ -312,8 +306,8 @@ def optimize_secondary(
     Exact ties go to continuing and to sharing.  Each of those comparisons
     allows a slack of `_TIE_SLACK * C_M`, a few ulps of the largest value,
     so that a tie is settled by the rule and not by rounding in the last
-    digits.  `_ops` is an (own, shared) pair of per-stage operator lists
-    that a caller solving the same system repeatedly may pass.
+    digits.  A shared model that is the own stage's model object (a twin
+    clone) has the same operator, and its expectation is taken once.
     """
     if len(shared_stages) != app2.k:
         raise ValueError("need one shared-feature model per stage")
@@ -353,7 +347,7 @@ def optimize_secondary(
     declare_mask = ca * (1.0 - b2) <= cm * b2
     final_threshold = app2.fa_cost / (app2.fa_cost + app2.miss_cost)
     tie = _TIE_SLACK * cm
-    own_ops, shared_ops = _secondary_operators(grid2, app2, shared_stages, _ops)
+    own_ops, shared_ops = _stage_operators(grid2, app2.stages), _stage_operators(grid2, shared_stages)
 
     for i in range(k - 1, -1, -1):
         own = app2.stages[i]
@@ -464,14 +458,13 @@ def cascade_optimality_secondary(result: SecondaryResult, app2: AppConfig) -> li
     return out
 
 
-def forward_primary(result: PrimaryResult, app: AppConfig, *, _ops=None):
+def forward_primary(result: PrimaryResult, app: AppConfig):
     """Exact forward propagation of the primary policy on the grid.
 
     Mirrors the backward pass with the adjoint `T.T @ mass` of each stage
     operator, so the accumulated total reproduces the stage-0 value up to
     roundoff.  Returns the risk breakdown, the expected extraction energy
-    in mJ, and the per-stage continuation probabilities.  `_ops` is as in
-    `optimize_primary`.
+    in mJ, and the per-stage continuation probabilities.
     """
     grid = result.grid
     b = grid.points
@@ -487,7 +480,7 @@ def forward_primary(result: PrimaryResult, app: AppConfig, *, _ops=None):
     energy = app.stages[0].cost_mj  # first feature is always extracted
     cont_probs = []
     miss = 0.0
-    ops = _stage_operators(grid, app.stages, _ops)
+    ops = _stage_operators(grid, app.stages)
     mass = ops[0].push(mass)
     for i in range(1, k):
         go = result.continue_mask[i - 1]
@@ -505,7 +498,7 @@ def forward_primary(result: PrimaryResult, app: AppConfig, *, _ops=None):
     return breakdown, energy, np.asarray(cont_probs)
 
 
-def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, prior1: Belief, *, _ops=None):
+def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, prior1: Belief):
     """Forward propagation of the secondary policy, the adjoint of its DP.
 
     Under the design measure the primary belief never moves: it is a fixed
@@ -517,7 +510,7 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
     A column where the primary policy stops hands its mass to the
     without-branch.  Returns the risk breakdown, the expected own-feature
     energy, and the per-decision-stage probabilities of paying for the own
-    feature.  `_ops` is as in `optimize_secondary`.
+    feature.
     """
     g2, g1 = result.grid2, result.grid1
     b2, b1 = g2.points, g1.points
@@ -538,7 +531,7 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
     energy = 0.0
     own_probs = []
     miss = 0.0
-    own_ops, shared_ops = _secondary_operators(g2, app2, shared_stages, _ops)
+    own_ops, shared_ops = _stage_operators(g2, app2.stages), _stage_operators(g2, shared_stages)
 
     delta0 = result.delta0[:, cols]
     f2_mass = mass * (delta0 == USE_OWN)

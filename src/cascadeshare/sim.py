@@ -58,8 +58,9 @@ class CascadeSystem:
     target to equal the primary target and requires the shared-feature
     models to match the primary's own.
 
-    The planning models (`robustified`) are computed once, on first use,
-    and `at` carries them to copies at another prior or multiplier.
+    The planning models (`robustified`) and the belief grid (`grid`) are
+    made once, on first use, and `at` carries them to copies at another
+    prior or multiplier.
     """
 
     primary: AppConfig
@@ -81,6 +82,8 @@ class CascadeSystem:
             if self.lam < 0:
                 raise ValueError("lambda must be nonnegative")
             object.__setattr__(self, "lam", float(self.lam))
+        if self.grid_m < 2:
+            raise ValueError("need M >= 2")
         object.__setattr__(self, "shared", _check_pairing(self.primary, self.secondary, self.shared, self.coupling))
 
     @cached_property
@@ -88,11 +91,16 @@ class CascadeSystem:
         """The robustified (primary, secondary, shared), as `robust.robustify_system` returns them."""
         return robustify_system(self.primary, self.secondary, self.shared)
 
+    @cached_property
+    def grid(self) -> Grid:
+        """The uniform belief grid of `grid_m` points, which keeps the transition operators built on it."""
+        return Grid.uniform(self.grid_m)
+
     def at(self, prior: Optional[float] = None, lam: Optional[float] = None) -> "CascadeSystem":
         """This system with both applications at `prior` and/or run at multiplier `lam`.
 
-        A multiplier replaces the budget.  The robustified models carry
-        over, since robustification depends on neither.
+        A multiplier replaces the budget.  The robustified models and the
+        grid carry over, since they depend on neither.
         """
         app1, app2, shared = self.robustified
         changes = {}
@@ -106,7 +114,7 @@ class CascadeSystem:
         if lam is not None:
             changes.update(lam=lam, budget=None)
         system = replace(self, **changes)
-        system.__dict__["robustified"] = (app1, app2, shared)
+        system.__dict__.update(robustified=(app1, app2, shared), grid=self.grid)
         return system
 
 

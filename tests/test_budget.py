@@ -162,16 +162,15 @@ class TestSolveLambda:
         assert len(calls) == 2 + midpoints < 10
 
     def test_reused_operators_give_the_same_consumption(self, rng):
-        """Operators built once for the search price exactly like fresh ones."""
+        """A grid that already holds its operators prices exactly like a fresh one."""
         from cascadeshare.budget import _consumption
-        from cascadeshare.dp import _secondary_operators, _stage_operators
 
         app = robustify_app(self._app(rng))
         grid = Grid.uniform(61)
-        ops = (_stage_operators(grid, app.stages), _secondary_operators(grid, app, app.stages))
+        _consumption(0.1, app, grid, app, app.stages)
         for lam in (0.0, 0.03, 0.2):
-            assert _consumption(lam, app, grid, app, app.stages, ops) == _consumption(
-                lam, app, grid, app, app.stages)
+            assert _consumption(lam, app, grid, app, app.stages) == _consumption(
+                lam, app, Grid.uniform(61), app, app.stages)
 
     def test_consumption_nonincreasing_in_multiplier(self, rng):
         app = self._app(rng)

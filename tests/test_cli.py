@@ -313,6 +313,34 @@ class TestRobustifyOnce:
         assert count == stage_sets * self.K
 
 
+class TestOperatorsOnce:
+    """Each command builds each distinct stage model's transition operator once, on the system's grid."""
+
+    @pytest.mark.parametrize("command, extra, builds", [
+        ("optimize", (), 9),
+        ("optimize", ("--budget-mJ", "45"), 9),
+        ("check", (), 9),
+        ("simulate", ("--trials", "1000"), 9),
+        ("sweep", (), 9),
+        # the twin clones the primary, so its three stage models serve all three chains
+        ("twin", (), 3),
+    ])
+    def test_per_command(self, monkeypatch, capsys, tmp_path, command, extra, builds):
+        from cascadeshare import cli, dp
+
+        seen = []
+        original = dp._Transition
+
+        def counting(grid, model):
+            seen.append(model)
+            return original(grid, model)
+
+        monkeypatch.setattr(dp, "_Transition", counting)
+        assert cli.main([command, "--config", str(CONFIG), *extra, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(seen) == builds
+
+
 def _reference_csv(path, header, rows):
     """The CSV that `csv.writer` writes for `rows`, with floats in `repr` form."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -591,6 +619,21 @@ class TestErrorPaths:
         proc = run_cli("optimize", "--config", str(bad), "--out-dir", str(tmp_path))
         assert proc.returncode == 5
         assert json.loads(proc.stderr)["error"] == "bracket_failure"
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--grid", "0"),
+        ("simulate", "--trials", "0"),
+        ("twin", "--trials", "-5"),
+    ])
+    def test_out_of_range_override_exits_2_before_solving(self, monkeypatch, capsys, tmp_path, argv):
+        from cascadeshare import cli, robust
+
+        robustified = []
+        monkeypatch.setattr(robust, "robustify_stage", robustified.append)
+        assert cli.main([*argv, "--config", str(CONFIG), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "config_error"
+        assert robustified == []  # every solve robustifies the system first
 
     def test_unknown_flag_is_an_error(self, tmp_path):
         proc = run_cli("optimize", "--config", str(CONFIG), "--frobnicate")

@@ -468,9 +468,25 @@ class TestTransitionOperator:
         # rows are evidence distributions: each sums to one
         np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    def test_grid_keeps_one_operator_per_model_object(self, rng):
+        """The same model gives the same operator; an equal but distinct one gets its own, bitwise equal."""
+        from dataclasses import fields
+
+        grid = Grid.uniform(17)
+        model = random_pmf(rng, 5)
+        op = grid.transition(model)
+        assert grid.transition(model) is op
+        twin = replace(model)
+        other = grid.transition(twin)
+        assert other is not op and grid.transition(twin) is other
+        assert other.matrix.tobytes() == op.matrix.tobytes()
+        assert Grid.uniform(17).transition(model) is not op
+        assert tuple(f.name for f in fields(Grid)) == ("points",)
+        assert repr(grid) == repr(Grid.uniform(17))
+
     def test_twin_clone_reuses_its_own_operators(self, rng):
         """A twin clone's shared chain gets the own chain's operators and skips the second product;
-        the solve is bitwise the one with both chains' operators built and applied separately."""
+        the solve is bitwise the one whose shared chain holds equal but distinct models."""
         from dataclasses import fields
 
         from cascadeshare.sim import exact_grid_primary
@@ -479,12 +495,12 @@ class TestTransitionOperator:
             app = robustify_app(random_app(rng, bins=int(rng.integers(2, 30))))
             grid = exact_grid_primary(app) if j % 3 == 0 else Grid.uniform(int(rng.integers(3, 200)))
             lam = float(rng.uniform(0.001, 0.2))
-            own, shared = dp._secondary_operators(grid, app, app.stages)
-            assert own is shared
+            copies = tuple(replace(s, robust=replace(s.robust)) for s in app.stages)
             pr = optimize_primary(app, lam, grid)
             got = optimize_secondary(app, app.stages, pr, lam)
-            separate = (dp._stage_operators(grid, app.stages), dp._stage_operators(grid, app.stages))
-            want = optimize_secondary(app, app.stages, pr, lam, _ops=separate)
+            want = optimize_secondary(app, copies, pr, lam)
+            for s, c in zip(app.stages, copies):
+                assert grid.transition(c.effective) is not grid.transition(s.effective)
             for f in fields(want):
                 g, w = getattr(got, f.name), getattr(want, f.name)
                 if isinstance(w, np.ndarray):

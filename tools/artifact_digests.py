@@ -33,6 +33,7 @@ COMMANDS = {
     "twin_trials": ["twin", "--trials", "2000", "--seed", "3"],
     "twin_budget50": ["twin", "--budget-mJ", "50"],
     "sweep": ["sweep"],
+    "sweep_budget50": ["sweep", "--budget-mJ", "50"],
 }
 
 
