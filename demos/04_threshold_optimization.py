@@ -35,11 +35,11 @@ for i in range(1, sr.k):
     avail = sr.primary_continue[i - 1]
     own = int((sr.actions_with[i - 1][:, avail] == 2).sum()) if avail.any() else 0
     print(f"  stage {i}: own feature selected at {own} available cells "
-          f"(sharing condition makes this 0); fallback threshold {sr.tau_without[i-1]:.4f}")
+          f"(sharing condition makes this 0); fallback threshold {sr.solo.thresholds[i-1]:.4f}")
 
 v2 = sr.value_at(cfg.secondary.prior, cfg.primary.prior)
 print(f"\nsecondary value with sharing: {v2:.6f}")
-print(f"secondary value without sharing (ablation): {sr.ablation_value_at(cfg.secondary.prior):.6f}")
+print(f"secondary value without sharing (ablation): {sr.solo.value_at(cfg.secondary.prior):.6f}")
 
 # value functions are concave with slope at most the miss cost
 v = pr.values[1]

@@ -234,13 +234,13 @@ def policy_to_json(solved: Solved) -> dict:
     if solved.secondary is not None:
         sr = solved.secondary
         doc["secondary"] = {
-            "final_threshold": sr.final_threshold,
+            "final_threshold": float(sr.solo.thresholds[-1]),
             "eta": sr.eta.tolist(),
-            "tau_without": sr.tau_without.tolist(),
+            "tau_without": sr.solo.thresholds[:-1].tolist(),
             "delta0": sr.delta0.tolist(),
             "actions_with": sr.actions_with.tolist(),
-            "actions_without": sr.actions_without.astype(int).tolist(),
-            "bounds": [[lo, hi] for lo, hi in sr.bounds2],
+            "actions_without": sr.solo.continue_mask.astype(int).tolist(),
+            "bounds": [[lo, hi] for lo, hi in sr.solo.bounds],
         }
     return doc
 
@@ -264,9 +264,9 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
         # rows run over pi1 within pi2, as np.repeat(pi2) and np.tile(pi1) lay them out; both key
         # columns refer to the fields formatted once above
         pi2_col, pi1_col = [a for a in pi2 for _ in pi1], pi1 * len(pi2)
-        for i in range(sr.without_values.shape[0]):
+        for i in range(sr.solo.values.shape[0]):
             _write_csv(out_dir / f"values2_without_stage_{i}.csv", ["pi2", "value"],
-                       [pi2, _csv_fields(sr.without_values[i])])
+                       [pi2, _csv_fields(sr.solo.values[i])])
             _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
                        [pi2_col, pi1_col, _csv_fields(sr.with_values[i].ravel())])
 

@@ -9,7 +9,9 @@ The primary application is a plain optimal-stopping cascade; the
 secondary application is solved on a product grid
 (own belief x primary belief) with an availability flag: once the primary
 is modeled as stopped, the free shared feature is gone for good and the
-secondary falls back to its own feature chain.
+secondary falls back to its own feature chain.  That chain is itself a
+single-application cascade: one stopping recursion solves it and the
+primary alike, and both results are a `PrimaryResult`.
 
 Within a single stage transition the primary-belief coordinate of the
 secondary tables is carried as a fixed parameter (per-column recursion);
@@ -176,12 +178,11 @@ def _stop_threshold(grid: Grid, stop_vals: np.ndarray, cont_vals: np.ndarray) ->
 
 @dataclass
 class PrimaryResult:
-    """Value tables and policy of the primary application."""
+    """Value tables and policy of one optimal-stopping cascade: the primary, or the secondary's solo chain."""
 
     grid: Grid
     lam: float
     values: np.ndarray        # (K+1, M): stage i value on the grid
-    cont_values: np.ndarray   # (K-1, M): continuation branch at stages 1..K-1
     thresholds: np.ndarray    # (K,): stop thresholds tau_1..tau_K (clamped)
     continue_mask: np.ndarray  # (K-1, M) bool: optimal action is to keep going
     declare_mask: np.ndarray  # (M,) bool: final-stage positive declaration
@@ -207,17 +208,21 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     _require_robustified(app.stages)
+    bounds = belief_bounds([(s.breakpoints.l_lo, s.breakpoints.l_hi) for s in app.stages], app.prior)
+    return _optimal_stopping(app, lam, grid, bounds)
+
+
+def _optimal_stopping(app: AppConfig, lam: float, grid: Grid, bounds) -> PrimaryResult:
+    """`optimize_primary`'s recursion on `app`'s own features, thresholds clamped to `bounds`."""
     k = app.k
     b = grid.points
     cm, ca = app.miss_cost, app.fa_cost
-    bounds = belief_bounds([(s.breakpoints.l_lo, s.breakpoints.l_hi) for s in app.stages], app.prior)
 
     values = np.zeros((k + 1, grid.m))
     values[k] = np.minimum(cm * b, ca * (1.0 - b))
     declare_mask = ca * (1.0 - b) <= cm * b
     thresholds = np.zeros(k)
     thresholds[k - 1] = app.fa_cost / (app.fa_cost + app.miss_cost)
-    cont_values = np.zeros((max(k - 1, 0), grid.m))
     continue_mask = np.zeros((max(k - 1, 0), grid.m), dtype=bool)
     ops = _stage_operators(grid, app.stages)
 
@@ -226,13 +231,12 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
         cont = lam * stage.cost_mj + ops[i].expect(values[i + 1])
         stop = cm * b
         values[i] = np.minimum(stop, cont)
-        cont_values[i - 1] = cont
         continue_mask[i - 1] = cont <= stop
         lo, hi = bounds[i]
         thresholds[i - 1] = _clamp(_stop_threshold(grid, stop, cont), lo, hi)
 
     values[0] = lam * app.stages[0].cost_mj + ops[0].expect(values[1])
-    return PrimaryResult(grid, lam, values, cont_values, thresholds, continue_mask, declare_mask, bounds)
+    return PrimaryResult(grid, lam, values, thresholds, continue_mask, declare_mask, bounds)
 
 
 # secondary action codes in the with-branch tables
@@ -248,31 +252,34 @@ class SecondaryResult:
 
     `with_values[i]` is the (own-belief x primary-belief) table while the
     primary is still running; columns where the primary stops at stage i
-    hold the fallback (without) values.  `without_values` is the solo chain
-    once the primary is gone; its stage-0 entry is the no-sharing value
-    (first own feature forced).
+    hold the fallback values.  `solo` is that fallback: once the primary is
+    gone the secondary is a single-application cascade on its own features,
+    solved by the primary's recursion with thresholds clamped to the
+    union-window envelope.  Its stage-0 value is the no-sharing value (first
+    own feature forced); `k`, `grid2` and `lam` are read from it.
     """
 
-    grid2: Grid
     grid1: Grid
-    lam: float
     with_values: np.ndarray      # (K+1, M2, M1)
-    without_values: np.ndarray   # (K+1, M2)
     shared_cont: np.ndarray      # (K, M2, M1): E[V(next) | shared feature], no cost
     own_cont: np.ndarray         # (K, M2, M1): E[V(next) | own feature], cost excluded
     actions_with: np.ndarray     # (K-1, M2, M1) int8 in {STOP, USE_SHARED, USE_OWN}
-    actions_without: np.ndarray  # (K-1, M2) bool: continue with own feature
-    declare_mask: np.ndarray     # (M2,) final positive declaration
     delta0: np.ndarray           # (M2, M1) int8 in {USE_SHARED, USE_OWN}
-    final_threshold: float
     eta: np.ndarray              # (K-1, M1): with-branch stop thresholds per column
-    tau_without: np.ndarray      # (K-1,)
-    bounds2: list
+    solo: PrimaryResult          # the own-feature chain on grid2, after the primary stops
     primary_continue: np.ndarray  # (K-1, M1) bool, copied from the primary policy
 
     @property
     def k(self) -> int:
-        return self.without_values.shape[0] - 1
+        return self.solo.k
+
+    @property
+    def grid2(self) -> Grid:
+        return self.solo.grid
+
+    @property
+    def lam(self) -> float:
+        return self.solo.lam
 
     def value_at(self, pi2: Belief, pi1: Belief) -> float:
         b1 = self.grid1.points
@@ -282,10 +289,6 @@ class SecondaryResult:
         v0 = np.interp(pi2, self.grid2.points, self.with_values[0][:, j])
         v1 = np.interp(pi2, self.grid2.points, self.with_values[0][:, j + 1])
         return float((1.0 - t) * v0 + t * v1)
-
-    def ablation_value_at(self, pi2: Belief) -> float:
-        """No-sharing value: the secondary never touches the shared feature."""
-        return float(np.interp(pi2, self.grid2.points, self.without_values[0]))
 
 
 def optimize_secondary(
@@ -320,7 +323,7 @@ def optimize_secondary(
     grid1 = primary.grid
     k = app2.k
     b2 = grid2.points
-    cm, ca = app2.miss_cost, app2.fa_cost
+    cm = app2.miss_cost
     m2, m1 = grid2.m, grid1.m
 
     # pi2 envelope: each stage may use either feature, so take the union window
@@ -335,17 +338,11 @@ def optimize_secondary(
     # tables at large M are faulted in afresh on every solve
     tables = np.zeros((3 * k + 1, m2, m1))
     with_values, shared_cont, own_cont = tables[:k + 1], tables[k + 1:2 * k + 1], tables[2 * k + 1:]
-    without_values = np.zeros((k + 1, m2))
     actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
-    actions_without = np.zeros((max(k - 1, 0), m2), dtype=bool)
     eta = np.zeros((max(k - 1, 0), m1))
-    tau_without = np.zeros(max(k - 1, 0))
 
-    final = np.minimum(cm * b2, ca * (1.0 - b2))
-    without_values[k] = final
-    with_values[k] = final[:, None]
-    declare_mask = ca * (1.0 - b2) <= cm * b2
-    final_threshold = app2.fa_cost / (app2.fa_cost + app2.miss_cost)
+    solo = _optimal_stopping(app2, lam, grid2, bounds2)
+    with_values[k] = solo.values[k][:, None]
     tie = _TIE_SLACK * cm
     own_ops, shared_ops = _stage_operators(grid2, app2.stages), _stage_operators(grid2, shared_stages)
 
@@ -353,7 +350,6 @@ def optimize_secondary(
         own = app2.stages[i]
         t_own, t_shared = own_ops[i], shared_ops[i]
 
-        cont_wo = lam * own.cost_mj + t_own.expect(without_values[i + 1])
         # written in place: fresh (M2 x M1) temporaries cost page faults at large M
         f1 = t_shared.expect(with_values[i + 1], out=shared_cont[i])
         if t_own is t_shared:  # a twin clone: both features give the same expectation
@@ -365,37 +361,31 @@ def optimize_secondary(
 
         if i == 0:
             # no stop action before the first observation
-            without_values[0] = cont_wo
             with_values[0] = np.minimum(f1, priced)
             delta0 = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
             continue
 
         stop = cm * b2
-        without_values[i] = np.minimum(stop, cont_wo)
-        actions_without[i - 1] = cont_wo <= stop
-        lo, hi = bounds2[i]
-        tau_without[i - 1] = _clamp(_stop_threshold(grid2, stop, cont_wo), lo, hi)
-
         avail = primary.continue_mask[i - 1]
         best_cont = np.minimum(f1, priced)
         table = np.minimum(stop[:, None], best_cont, out=with_values[i])
-        table[:, ~avail] = without_values[i][:, None]
+        table[:, ~avail] = solo.values[i][:, None]
 
         act = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
         act[best_cont > stop[:, None] + tie] = STOP
-        fallback = np.where(actions_without[i - 1], USE_OWN, STOP).astype(np.int8)
+        fallback = np.where(solo.continue_mask[i - 1], USE_OWN, STOP).astype(np.int8)
         act[:, ~avail] = fallback[:, None]
         actions_with[i - 1] = act
 
         # per column, `_stop_threshold` clamped to the envelope; the solo threshold where the primary stops
         better = best_cont < stop[:, None]
         first = np.where(better.any(axis=0), b2[better.argmax(axis=0)], np.inf)
-        eta[i - 1] = np.where(avail, np.clip(first, lo, hi), tau_without[i - 1])
+        lo, hi = bounds2[i]
+        eta[i - 1] = np.where(avail, np.clip(first, lo, hi), solo.thresholds[i - 1])
 
     return SecondaryResult(
-        grid2, grid1, lam, with_values, without_values, shared_cont, own_cont,
-        actions_with, actions_without, declare_mask, delta0, final_threshold,
-        eta, tau_without, bounds2, primary.continue_mask.copy(),
+        grid1, with_values, shared_cont, own_cont, actions_with, delta0, eta, solo,
+        primary.continue_mask.copy(),
     )
 
 
@@ -430,7 +420,7 @@ def check_sharing_condition(result: SecondaryResult, app2: AppConfig):
     return checks
 
 
-def check_cascade_optimality(values: np.ndarray, grid: Grid, fa_cost: float, bounds) -> list[bool]:
+def cascade_optimality_primary(result: PrimaryResult, app: AppConfig) -> list[bool]:
     """Would an added early-positive action ever fire?  True means never.
 
     For each intermediate stage, the cascade form is optimal iff the
@@ -438,23 +428,19 @@ def check_cascade_optimality(values: np.ndarray, grid: Grid, fa_cost: float, bou
     positive declaration exceeds the stage's reachable upper belief bound;
     that is, iff some grid belief above the bound has such a value.
     """
-    b = grid.points
-    return [bool(np.any((values[i] - fa_cost * (1.0 - b) < 0) & (b > bounds[i][1])))
-            for i in range(1, values.shape[0] - 1)]
-
-
-def cascade_optimality_primary(result: PrimaryResult, app: AppConfig) -> list[bool]:
-    return check_cascade_optimality(result.values, result.grid, app.fa_cost, result.bounds)
+    b = result.grid.points
+    return [bool(np.any((result.values[i] - app.fa_cost * (1.0 - b) < 0) & (b > result.bounds[i][1])))
+            for i in range(1, result.k)]
 
 
 def cascade_optimality_secondary(result: SecondaryResult, app2: AppConfig) -> list[bool]:
     """Worst case over the solo chain and every primary-belief column."""
-    solo = check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+    solo = cascade_optimality_primary(result.solo, app2)
     b = result.grid2.points
     out = []
     for i in range(1, result.k):
         no_positive = result.with_values[i] - app2.fa_cost * (1.0 - b)[:, None] < 0
-        out.append(bool(solo[i - 1] and no_positive[b > result.bounds2[i][1]].any(axis=0).all()))
+        out.append(bool(solo[i - 1] and no_positive[b > result.solo.bounds[i][1]].any(axis=0).all()))
     return out
 
 
@@ -547,7 +533,7 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
         mass_without = mass_without + mass[:, ~avail].sum(axis=1)
         mass[:, ~avail] = 0.0
 
-        go_wo = result.actions_without[i - 1]
+        go_wo = result.solo.continue_mask[i - 1]
         miss += cm * float((mass_without * ~go_wo) @ b2)
         moving_wo = mass_without * go_wo
 
@@ -564,7 +550,7 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
         mass = shared_ops[i].push(f1_mass) + own_ops[i].push(f2_mass)
         mass_without = own_ops[i].push(moving_wo)
 
-    pos = result.declare_mask
+    pos = result.solo.declare_mask
     total2 = mass.sum(axis=1) + mass_without
     miss += cm * float((total2 * ~pos) @ b2)
     fa = ca * float((total2 * pos) @ (1.0 - b2))

@@ -508,11 +508,13 @@ def _nearest(guide: _Guide, x: np.ndarray) -> np.ndarray:
     return np.where(x - grid[lo] <= grid[pos] - x, lo, pos)
 
 
-def _lookup_rule(guide: _Guide, mask: np.ndarray, threshold: float, pi: np.ndarray) -> np.ndarray:
-    """A threshold rule on a grid: the stored action at an exact grid node, `pi >= threshold` elsewhere."""
+def _lookup_rule(guide: _Guide, result: PrimaryResult, i: int, pi: np.ndarray) -> np.ndarray:
+    """A cascade's rule after i features, to continue (i < K) or to declare positive (i = K), on its grid:
+    the stored action at an exact grid node, `pi >= threshold` elsewhere."""
+    mask = result.continue_mask[i - 1] if i < result.k else result.declare_mask
     grid = guide.points
     pos = np.minimum(guide(pi), grid.size - 1)
-    return np.where(grid[pos] == pi, mask[pos], pi >= threshold)
+    return np.where(grid[pos] == pi, mask[pos], pi >= result.thresholds[i - 1])
 
 
 def _lookup_table(table: np.ndarray, guide2: _Guide, guide1: _Guide, pi2: np.ndarray, pi1: np.ndarray):
@@ -632,7 +634,7 @@ def simulate(
             if i == k:
                 break
 
-            go = _lookup_rule(guide_p, pr.continue_mask[i - 1], pr.thresholds[i - 1], pi1[live1])
+            go = _lookup_rule(guide_p, pr, i, pi1[live1])
             codes1[lo + live1, i - 1] = np.where(go, ord("F"), ord("0"))
             stopped = live1[~go]
             stop_stage1[lo + stopped] = i
@@ -646,8 +648,7 @@ def simulate(
                 w = live2[avail]
                 act[avail] = _lookup_table(sr.actions_with[i - 1], guide2, guide1, pi2[w], pi1[w])
                 w = live2[~avail]
-                act[~avail] = np.where(_lookup_rule(guide2, sr.actions_without[i - 1],
-                                                    sr.tau_without[i - 1], pi2[w]), USE_OWN, STOP)
+                act[~avail] = np.where(_lookup_rule(guide2, sr.solo, i, pi2[w]), USE_OWN, STOP)
                 codes2[lo + live2, i] = act + ord("0")
                 going = act != STOP
                 stop_stage2[lo + live2[~going]] = i
@@ -655,11 +656,11 @@ def simulate(
                 own, via_shared = live2[act == USE_OWN], live2[act != USE_OWN]
                 e2[lo + own] += app2.stages[i].cost_mj
 
-        declared = _lookup_rule(guide_p, pr.declare_mask, pr.thresholds[k - 1], pi1[live1])
+        declared = _lookup_rule(guide_p, pr, k, pi1[live1])
         xhat1[lo + live1] = declared
         codes1[lo + live1, k - 1] = np.where(declared, ord("1"), ord("0"))
         if has2:
-            declared = _lookup_rule(guide2, sr.declare_mask, sr.final_threshold, pi2[live2])
+            declared = _lookup_rule(guide2, sr.solo, k, pi2[live2])
             xhat2[lo + live2] = declared
             codes2[lo + live2, k] = np.where(declared, ord("1"), ord("0"))
 

@@ -1,4 +1,6 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and a bitwise result comparison for the test suite."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -62,3 +64,19 @@ def assert_stages_bitwise_equal(got, want):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+def assert_bitwise_equal(got, want, path="result"):
+    """Dataclasses field by field, arrays by dtype and bytes, floats by repr."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(want):
+            assert_bitwise_equal(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), path
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_bitwise_equal(g, w, f"{path}[{i}]")
+    else:
+        assert repr(got) == repr(want), path

@@ -160,8 +160,8 @@ class TestCriterion3ValueFunctionStructure:
                 if i >= 1:
                     assert v[0] == 0.0                                  # zero fixed point
             for i in range(1, sr.k + 1):
-                assert sr.without_values[i][0] == 0.0
-                assert np.diff(sr.without_values[i], 2).max() <= 1e-9
+                assert sr.solo.values[i][0] == 0.0
+                assert np.diff(sr.solo.values[i], 2).max() <= 1e-9
                 assert np.diff(sr.with_values[i], 2, axis=0).max() <= 1e-9
                 assert (np.diff(sr.with_values[i], axis=0) / dx[:, None]).max() \
                     <= app.miss_cost + 1e-9

@@ -1,7 +1,5 @@
 """Energy accounting and multiplier search."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from cascadeshare.budget import (
 )
 from cascadeshare.sim import CascadeSystem
 
-from conftest import random_app, random_pmf
+from conftest import assert_bitwise_equal, random_app, random_pmf
 
 
 def _budgeted(app, spec, grid):
@@ -188,22 +186,6 @@ class TestSolveLambda:
         assert set(doc) == {"lambda", "E1_mJ", "E2_mJ", "baseline_mJ", "total_mJ", "slack"}
 
 
-def _assert_bitwise_equal(got, want, path="result"):
-    """Dataclasses field by field, arrays by dtype and bytes, floats by repr."""
-    if dataclasses.is_dataclass(want):
-        assert type(got) is type(want), path
-        for f in dataclasses.fields(want):
-            _assert_bitwise_equal(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
-    elif isinstance(want, np.ndarray):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), path
-    elif isinstance(want, (list, tuple)):
-        assert len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_bitwise_equal(g, w, f"{path}[{i}]")
-    else:
-        assert repr(got) == repr(want), path
-
-
 class TestSolveSystem:
     """A budget solve keeps the policies its search solved at the returned multiplier."""
 
@@ -225,8 +207,8 @@ class TestSolveSystem:
                     solved = solve_system(system)
                     fresh = solve_system(system.at(lam=solved.lam))
                     assert solved.budget_solution.primary is solved.primary
-                    _assert_bitwise_equal(solved.primary, fresh.primary)
-                    _assert_bitwise_equal(solved.secondary, fresh.secondary)
+                    assert_bitwise_equal(solved.primary, fresh.primary)
+                    assert_bitwise_equal(solved.secondary, fresh.secondary)
                     assert (solved.secondary is None) is not twin
 
 

@@ -458,9 +458,9 @@ def _parent_value_tables(solved, out, pi2_by=None):
         g2, g1 = sr.grid2.points, sr.grid1.points
         pi2 = (pi2_by or np.repeat)(g2, g1.size).tolist()
         pi1 = np.tile(g1, g2.size).tolist()
-        for i in range(sr.without_values.shape[0]):
+        for i in range(sr.solo.values.shape[0]):
             _reference_csv(out / f"values2_without_stage_{i}.csv", ["pi2", "value"],
-                           zip(g2.tolist(), sr.without_values[i].tolist()))
+                           zip(g2.tolist(), sr.solo.values[i].tolist()))
             _reference_csv(out / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
                            zip(pi2, pi1, sr.with_values[i].ravel().tolist()))
 

@@ -23,7 +23,7 @@ from cascadeshare.dp import (
     optimize_secondary,
 )
 
-from conftest import random_app, random_pmf
+from conftest import assert_bitwise_equal, random_app, random_pmf
 
 GCW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"
 
@@ -125,7 +125,7 @@ def reference_forward_secondary(result, app2, shared_stages, prior1):
         avail = result.primary_continue[i - 1]
         mass_without = mass_without + mass[:, ~avail].sum(axis=1)
         mass[:, ~avail] = 0.0
-        go_wo = result.actions_without[i - 1]
+        go_wo = result.solo.continue_mask[i - 1]
         miss += cm * float((mass_without * ~go_wo) @ b2)
         moving_wo = mass_without * go_wo
         act = result.actions_with[i - 1]
@@ -141,7 +141,7 @@ def reference_forward_secondary(result, app2, shared_stages, prior1):
         mass = t_sh.push_columns(f1_mass) + t_own.push_columns(f2_mass)
         mass_without = t_own.push_vector(moving_wo)
 
-    pos = result.declare_mask
+    pos = result.solo.declare_mask
     total2 = mass.sum(axis=1) + mass_without
     miss += cm * float((total2 * ~pos) @ b2)
     fa = ca * float((total2 * pos) @ (1.0 - b2))
@@ -219,8 +219,8 @@ class TestValueFunctionStructure:
             pr = optimize_primary(rapp, lam, Grid.uniform(81))
             sr = optimize_secondary(rapp, rapp.stages, pr, lam)
             for i in range(1, sr.k + 1):
-                assert sr.without_values[i][0] == 0.0
-                assert np.diff(sr.without_values[i], 2).max() <= 1e-9
+                assert sr.solo.values[i][0] == 0.0
+                assert np.diff(sr.solo.values[i], 2).max() <= 1e-9
                 table = sr.with_values[i]
                 assert np.all(table[0, :] == 0.0)
                 assert np.diff(table, 2, axis=0).max() <= 1e-9
@@ -251,7 +251,9 @@ class TestThresholdPolicyEquivalence:
                 threshold_rule = b >= res.thresholds[i - 1]
                 disagree = feasible & (branch != threshold_rule)
                 if disagree.any():
-                    gap = np.abs(res.cont_values[i - 1][disagree] - app.miss_cost * b[disagree])
+                    stage = rapp.stages[i]
+                    cont = lam * stage.cost_mj + res.grid.transition(stage.effective).expect(res.values[i + 1])
+                    gap = np.abs(cont[disagree] - app.miss_cost * b[disagree])
                     assert gap.max() < 1e-12  # both actions optimal at ties
 
     def test_thresholds_clamped_to_stage_envelope(self, rng):
@@ -487,8 +489,6 @@ class TestTransitionOperator:
     def test_twin_clone_reuses_its_own_operators(self, rng):
         """A twin clone's shared chain gets the own chain's operators and skips the second product;
         the solve is bitwise the one whose shared chain holds equal but distinct models."""
-        from dataclasses import fields
-
         from cascadeshare.sim import exact_grid_primary
 
         for j in range(12):
@@ -501,12 +501,7 @@ class TestTransitionOperator:
             want = optimize_secondary(app, copies, pr, lam)
             for s, c in zip(app.stages, copies):
                 assert grid.transition(c.effective) is not grid.transition(s.effective)
-            for f in fields(want):
-                g, w = getattr(got, f.name), getattr(want, f.name)
-                if isinstance(w, np.ndarray):
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f.name
-                else:
-                    assert repr(g) == repr(w), f.name
+            assert_bitwise_equal(got, want)
 
 
 def _assert_same_forward(got, want):
@@ -633,7 +628,7 @@ def reference_check_cascade_optimality(values, grid, fa_cost, bounds):
 def reference_cascade_optimality_secondary(result, app2):
     """The solo chain's check and, per stage, the same test column by column."""
     k = result.k
-    solo = reference_check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+    solo = reference_check_cascade_optimality(result.solo.values, result.grid2, app2.fa_cost, result.solo.bounds)
     out = list(solo)
     b = result.grid2.points
     for i in range(1, k):
@@ -644,7 +639,7 @@ def reference_cascade_optimality_secondary(result, app2):
             if not col.any():
                 ok = False
                 break
-            if float(b[np.flatnonzero(col).max()]) <= result.bounds2[i][1]:
+            if float(b[np.flatnonzero(col).max()]) <= result.solo.bounds[i][1]:
                 ok = False
                 break
         out[i - 1] = bool(out[i - 1] and ok)
@@ -658,12 +653,12 @@ def reference_eta(result, app2):
     for i in range(1, result.k):
         stop = app2.miss_cost * b2
         best_cont = np.minimum(result.shared_cont[i], result.lam * app2.stages[i].cost_mj + result.own_cont[i])
-        lo, hi = result.bounds2[i]
+        lo, hi = result.solo.bounds[i]
         for j in range(result.grid1.m):
             if result.primary_continue[i - 1][j]:
                 eta[i - 1, j] = dp._clamp(dp._stop_threshold(result.grid2, stop, best_cont[:, j]), lo, hi)
             else:
-                eta[i - 1, j] = result.tau_without[i - 1]
+                eta[i - 1, j] = result.solo.thresholds[i - 1]
     return eta
 
 
@@ -698,18 +693,18 @@ class TestCascadeFormChecks:
         with_values = np.stack([table((m2, m1)) for _ in range(k + 1)])
         if rng.random() < 0.5:
             with_values[:, :, rng.integers(m1)] = base + 1.0  # a column with no entry below
-        result = SimpleNamespace(k=k, grid2=grid2, grid1=SimpleNamespace(m=m1), bounds2=bounds2,
-                                 with_values=with_values,
-                                 without_values=np.stack([table((m2, 1))[:, 0] for _ in range(k + 1)]))
+        solo = SimpleNamespace(k=k, grid=grid2, bounds=bounds2,
+                               values=np.stack([table((m2, 1))[:, 0] for _ in range(k + 1)]))
+        result = SimpleNamespace(k=k, grid2=grid2, grid1=SimpleNamespace(m=m1), with_values=with_values, solo=solo)
         return result, SimpleNamespace(fa_cost=fa)
 
     def test_match_the_loops_on_random_tables(self, rng):
         outcomes = set()
         for _ in range(3000):
             result, app2 = self._random_case(rng)
-            got = dp.check_cascade_optimality(result.without_values, result.grid2, app2.fa_cost, result.bounds2)
-            assert got == reference_check_cascade_optimality(
-                result.without_values, result.grid2, app2.fa_cost, result.bounds2)
+            solo = result.solo
+            got = dp.cascade_optimality_primary(solo, app2)
+            assert got == reference_check_cascade_optimality(solo.values, solo.grid, app2.fa_cost, solo.bounds)
             got2 = dp.cascade_optimality_secondary(result, app2)
             assert got2 == reference_cascade_optimality_secondary(result, app2)
             outcomes.update(got + got2)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cascadeshare.models import AppConfig
-from cascadeshare.robust import StageModel, robustify_app
+from cascadeshare.robust import StageModel, robustify_app, robustify_system
 from cascadeshare.dp import (
     Grid,
     STOP,
     USE_OWN,
     USE_SHARED,
+    belief_bounds,
     cascade_optimality_secondary,
     check_sharing_condition,
     optimize_primary,
@@ -85,9 +86,34 @@ class TestFallbackBranch:
             solo = optimize_primary(rapp, lam, Grid.uniform(81))
             # stages 1..K of the fallback chain match the solo value tables
             for i in range(1, sr.k + 1):
-                np.testing.assert_allclose(sr.without_values[i], solo.values[i], atol=1e-12)
-            np.testing.assert_allclose(sr.tau_without, solo.thresholds[:-1], atol=1e-12)
-            assert sr.final_threshold == solo.thresholds[-1]
+                np.testing.assert_allclose(sr.solo.values[i], solo.values[i], atol=1e-12)
+            np.testing.assert_allclose(sr.solo.thresholds[:-1], solo.thresholds[:-1], atol=1e-12)
+            assert sr.solo.thresholds[-1] == solo.thresholds[-1]
+
+        # independent coupling, shared windows unlike the own ones: the solo chain is still the own
+        # chain's optimization bit for bit, but its thresholds are clamped to the union-window
+        # envelope that either feature can reach
+        wider = 0
+        for _ in range(8):
+            app1, app2, shared = (random_app(rng, k=3, bins=3) for _ in range(3))
+            r1, r2, rshared = robustify_system(app1, app2, shared.stages)
+            lam = float(rng.uniform(0, 0.3))
+            grid = Grid.uniform(81)
+            sr = optimize_secondary(r2, rshared, optimize_primary(r1, lam, grid), lam)
+            alone = optimize_primary(r2, lam, grid)
+            for name in ("values", "continue_mask", "declare_mask"):
+                np.testing.assert_array_equal(getattr(sr.solo, name), getattr(alone, name))
+            union = belief_bounds(
+                [(min(own.breakpoints.l_lo, sh.breakpoints.l_lo), max(own.breakpoints.l_hi, sh.breakpoints.l_hi))
+                 for own, sh in zip(r2.stages, rshared)],
+                r2.prior,
+            )
+            assert sr.solo.bounds == union
+            for i in range(1, sr.k):
+                lo, hi = union[i]
+                assert lo <= sr.solo.thresholds[i - 1] <= hi
+            wider += union[1:sr.k] != alone.bounds[1:sr.k]
+        assert wider >= 6  # most instances clamp to an envelope wider than the own one
 
     def test_unavailable_columns_copy_fallback_values(self, rng):
         app = random_app(rng, k=2, bins=3)
@@ -95,8 +121,8 @@ class TestFallbackBranch:
         stopped = ~pr.continue_mask[0]
         if stopped.any():
             for j in np.flatnonzero(stopped):
-                np.testing.assert_array_equal(sr.with_values[1][:, j], sr.without_values[1])
-                expect = np.where(sr.actions_without[0], USE_OWN, STOP)
+                np.testing.assert_array_equal(sr.with_values[1][:, j], sr.solo.values[1])
+                expect = np.where(sr.solo.continue_mask[0], USE_OWN, STOP)
                 np.testing.assert_array_equal(sr.actions_with[0][:, j], expect)
 
 
@@ -107,7 +133,7 @@ class TestSharingDominance:
             lam = float(rng.uniform(0, 0.4))
             rapp, pr, sr = twin_solution(app, lam)
             shared_val = sr.value_at(app.prior, app.prior)
-            assert shared_val <= sr.ablation_value_at(app.prior) + 1e-12
+            assert shared_val <= sr.solo.value_at(app.prior) + 1e-12
 
 
 class TestSharingMarginOracle:

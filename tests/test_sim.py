@@ -598,8 +598,8 @@ def reference_simulate(
             act = np.where(
                 avail,
                 _lookup_table(secondary_result, secondary_result.actions_with[i - 1], pi2, pi1),
-                np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.actions_without[i - 1],
-                                      secondary_result.tau_without[i - 1], pi2), USE_OWN, STOP),
+                np.where(_lookup_rule(secondary_result.grid2.points, secondary_result.solo.continue_mask[i - 1],
+                                      secondary_result.solo.thresholds[i - 1], pi2), USE_OWN, STOP),
             )
             act = np.where(alive2, act, -1)
             stopping2 = alive2 & (act == STOP)
@@ -622,8 +622,8 @@ def reference_simulate(
 
     est2 = None
     if has2:
-        declared2 = _lookup_rule(secondary_result.grid2.points, secondary_result.declare_mask,
-                                 secondary_result.final_threshold, pi2)
+        declared2 = _lookup_rule(secondary_result.grid2.points, secondary_result.solo.declare_mask,
+                                 secondary_result.solo.thresholds[k - 1], pi2)
         xhat2 = alive2 & declared2
         acts2[alive2, k] = np.where(declared2[alive2], "1", "0")
         miss2 = app2.miss_cost * (x2 & ~xhat2)
