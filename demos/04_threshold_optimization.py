@@ -20,7 +20,7 @@ print("stage costs (mJ):", [round(s.cost_mj, 5) for s in cfg.primary.stages])
 solved = solve_system(cfg)
 pr, sr = solved.primary, solved.secondary
 
-print("\nprimary thresholds (stop below, clamped to the stage belief envelope):")
+print("\nprimary thresholds (stop below; read off the stored grid actions, inf if a stage never continues):")
 for i, tau in enumerate(pr.thresholds, start=1):
     lo, hi = pr.bounds[i]
     kind = "declare-positive above" if i == pr.k else "continue at or above"

@@ -11,7 +11,9 @@ secondary application is solved on a product grid
 is modeled as stopped, the free shared feature is gone for good and the
 secondary falls back to its own feature chain.  That chain is itself a
 single-application cascade: one stopping recursion solves it and the
-primary alike, and both results are a `PrimaryResult`.
+primary alike, and both results are a `PrimaryResult`.  Every stop
+threshold is read off the stored actions, as the smallest grid point
+that continues.
 
 Within a single stage transition the primary-belief coordinate of the
 secondary tables is carried as a fixed parameter (per-column recursion);
@@ -164,16 +166,9 @@ def belief_bounds(windows, prior: Belief) -> list[tuple[float, float]]:
     return bounds
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
-
-
-def _stop_threshold(grid: Grid, stop_vals: np.ndarray, cont_vals: np.ndarray) -> float:
-    """Smallest grid point where continuing strictly beats stopping (+inf if none)."""
-    better = cont_vals < stop_vals
-    if not better.any():
-        return np.inf
-    return float(grid.points[int(np.argmax(better))])
+def _first_continue(grid: Grid, go: np.ndarray) -> np.ndarray:
+    """The smallest grid point whose stored action continues, along `go`'s axis 1 (+inf where none does)."""
+    return np.where(go.any(axis=1), grid.points[go.argmax(axis=1)], np.inf)
 
 
 @dataclass
@@ -183,7 +178,7 @@ class PrimaryResult:
     grid: Grid
     lam: float
     values: np.ndarray        # (K+1, M): stage i value on the grid
-    thresholds: np.ndarray    # (K,): stop thresholds tau_1..tau_K (clamped)
+    thresholds: np.ndarray    # (K,): stop thresholds tau_1..tau_K, read off the stored actions
     continue_mask: np.ndarray  # (K-1, M) bool: optimal action is to keep going
     declare_mask: np.ndarray  # (M,) bool: final-stage positive declaration
     bounds: list              # (K+1) reachable-belief envelope
@@ -201,9 +196,11 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
 
     The final stage value is the Bayes envelope min(C_M*pi, C_A*(1-pi));
     intermediate stages compare stopping against the resource-priced
-    expected next-stage value.  Thresholds are the smallest grid points
-    where continuing strictly wins, clamped to the stage envelope.  Exact
-    ties prefer the continue/positive branch.
+    expected next-stage value.  Exact ties prefer the continue/positive
+    branch.  Each intermediate threshold is the smallest grid point whose
+    stored action continues (+inf if none does), so off the grid the rule
+    `pi >= threshold` decides as the stored actions do wherever they
+    continue from that point up.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -213,7 +210,7 @@ def optimize_primary(app: AppConfig, lam: float, grid: Grid) -> PrimaryResult:
 
 
 def _optimal_stopping(app: AppConfig, lam: float, grid: Grid, bounds) -> PrimaryResult:
-    """`optimize_primary`'s recursion on `app`'s own features, thresholds clamped to `bounds`."""
+    """`optimize_primary`'s recursion on `app`'s own features; `bounds` is kept as the result's envelope."""
     k = app.k
     b = grid.points
     cm, ca = app.miss_cost, app.fa_cost
@@ -221,8 +218,6 @@ def _optimal_stopping(app: AppConfig, lam: float, grid: Grid, bounds) -> Primary
     values = np.zeros((k + 1, grid.m))
     values[k] = np.minimum(cm * b, ca * (1.0 - b))
     declare_mask = ca * (1.0 - b) <= cm * b
-    thresholds = np.zeros(k)
-    thresholds[k - 1] = app.fa_cost / (app.fa_cost + app.miss_cost)
     continue_mask = np.zeros((max(k - 1, 0), grid.m), dtype=bool)
     ops = _stage_operators(grid, app.stages)
 
@@ -232,9 +227,8 @@ def _optimal_stopping(app: AppConfig, lam: float, grid: Grid, bounds) -> Primary
         stop = cm * b
         values[i] = np.minimum(stop, cont)
         continue_mask[i - 1] = cont <= stop
-        lo, hi = bounds[i]
-        thresholds[i - 1] = _clamp(_stop_threshold(grid, stop, cont), lo, hi)
 
+    thresholds = np.append(_first_continue(grid, continue_mask), ca / (ca + cm))
     values[0] = lam * app.stages[0].cost_mj + ops[0].expect(values[1])
     return PrimaryResult(grid, lam, values, thresholds, continue_mask, declare_mask, bounds)
 
@@ -254,8 +248,8 @@ class SecondaryResult:
     primary is still running; columns where the primary stops at stage i
     hold the fallback values.  `solo` is that fallback: once the primary is
     gone the secondary is a single-application cascade on its own features,
-    solved by the primary's recursion with thresholds clamped to the
-    union-window envelope.  Its stage-0 value is the no-sharing value (first
+    solved by the primary's recursion, with the union-window envelope as its
+    `bounds`.  Its stage-0 value is the no-sharing value (first
     own feature forced); `k`, `grid2` and `lam` are read from it.
     """
 
@@ -265,7 +259,6 @@ class SecondaryResult:
     own_cont: np.ndarray         # (K, M2, M1): E[V(next) | own feature], cost excluded
     actions_with: np.ndarray     # (K-1, M2, M1) int8 in {STOP, USE_SHARED, USE_OWN}
     delta0: np.ndarray           # (M2, M1) int8 in {USE_SHARED, USE_OWN}
-    eta: np.ndarray              # (K-1, M1): with-branch stop thresholds per column
     solo: PrimaryResult          # the own-feature chain on grid2, after the primary stops
     primary_continue: np.ndarray  # (K-1, M1) bool, copied from the primary policy
 
@@ -280,6 +273,14 @@ class SecondaryResult:
     @property
     def lam(self) -> float:
         return self.solo.lam
+
+    @property
+    def eta(self) -> np.ndarray:
+        """(K-1, M1): with-branch stop thresholds per primary-belief column, read off `actions_with`.
+
+        Columns where the primary stops hold the fallback actions, so there `eta` is `solo.thresholds`.
+        """
+        return _first_continue(self.grid2, self.actions_with != STOP)
 
     def value_at(self, pi2: Belief, pi1: Belief) -> float:
         b1 = self.grid1.points
@@ -339,7 +340,6 @@ def optimize_secondary(
     tables = np.zeros((3 * k + 1, m2, m1))
     with_values, shared_cont, own_cont = tables[:k + 1], tables[k + 1:2 * k + 1], tables[2 * k + 1:]
     actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
-    eta = np.zeros((max(k - 1, 0), m1))
 
     solo = _optimal_stopping(app2, lam, grid2, bounds2)
     with_values[k] = solo.values[k][:, None]
@@ -377,14 +377,8 @@ def optimize_secondary(
         act[:, ~avail] = fallback[:, None]
         actions_with[i - 1] = act
 
-        # per column, `_stop_threshold` clamped to the envelope; the solo threshold where the primary stops
-        better = best_cont < stop[:, None]
-        first = np.where(better.any(axis=0), b2[better.argmax(axis=0)], np.inf)
-        lo, hi = bounds2[i]
-        eta[i - 1] = np.where(avail, np.clip(first, lo, hi), solo.thresholds[i - 1])
-
     return SecondaryResult(
-        grid1, with_values, shared_cont, own_cont, actions_with, delta0, eta, solo,
+        grid1, with_values, shared_cont, own_cont, actions_with, delta0, solo,
         primary.continue_mask.copy(),
     )
 

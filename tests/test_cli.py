@@ -183,6 +183,42 @@ class TestTwinAndSweep:
         assert "miss1" in rows[0] and "risk2" in rows[0]
 
 
+class TestNeverContinue:
+    """At lambda = 1 no stage of gcw is worth another feature: the policy stops after the first."""
+
+    def test_policy_json_writes_null_thresholds(self, tmp_path):
+        proc = run_cli("optimize", "--config", str(CONFIG), "--lambda", "1", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        doc = json.loads((tmp_path / "policy.json").read_text(), parse_constant=refuse)
+        assert doc["primary"]["thresholds"][:-1] == [None, None]
+        assert doc["secondary"]["tau_without"] == [None, None]
+        assert {t for row in doc["secondary"]["eta"] for t in row} == {None}
+
+    def test_simulate_extracts_the_first_feature_only(self, tmp_path):
+        from cascadeshare.cli import load_config
+
+        proc = run_cli("simulate", "--config", str(CONFIG), "--lambda", "1", "--trials", "200000", "--seed", "3",
+                       "--dump-trials", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        first = load_config(str(CONFIG)).primary.stages[0].cost_mj
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["primary"]["energy_mean"] == pytest.approx(first, rel=1e-12)
+        with open(tmp_path / "trials.csv") as fh:
+            assert {r["stop_stage1"] for r in csv.DictReader(fh)} == {"1"}
+
+    def test_twin_simulates_the_designed_energy(self, tmp_path):
+        proc = run_cli("twin", "--config", str(CONFIG), "--priors", "0.05", "--trials", "20000",
+                       "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["e1_mj"] == pytest.approx(1.3824, rel=1e-12)
+        assert row["sim_e1"] == pytest.approx(row["e1_mj"], rel=1e-12)
+
+
 class TestBudgetOverride:
     """`--budget-mJ X` behaves like a config whose budget block asks for X."""
 

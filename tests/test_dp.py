@@ -182,8 +182,7 @@ class TestLargeLambda:
         lam = (app.miss_cost + 1.0) / min(s.cost_mj for s in app.stages[1:])
         res = optimize_primary(rapp, lam, Grid.uniform(101))
         for i in range(1, app.k):
-            lo, hi = res.bounds[i]
-            assert res.thresholds[i - 1] == hi  # clamps to the upper belief bound
+            assert res.thresholds[i - 1] == np.inf  # no stored action continues
             assert not res.continue_mask[i - 1].any()
         # all mass stops at stage 1: energy is the first extraction only
         _, energy, cont = forward_primary(res, rapp)
@@ -255,14 +254,6 @@ class TestThresholdPolicyEquivalence:
                     cont = lam * stage.cost_mj + res.grid.transition(stage.effective).expect(res.values[i + 1])
                     gap = np.abs(cont[disagree] - app.miss_cost * b[disagree])
                     assert gap.max() < 1e-12  # both actions optimal at ties
-
-    def test_thresholds_clamped_to_stage_envelope(self, rng):
-        for _ in range(6):
-            app = random_app(rng)
-            rapp, res = solved(app, float(rng.uniform(0, 2.0)))
-            for i in range(1, app.k):
-                lo, hi = res.bounds[i]
-                assert lo - 1e-12 <= res.thresholds[i - 1] <= hi + 1e-12
 
 
 class TestBackwardForwardConsistency:
@@ -646,19 +637,15 @@ def reference_cascade_optimality_secondary(result, app2):
     return out
 
 
-def reference_eta(result, app2):
-    """With-branch stop thresholds, one column at a time, from the stored continuation tables."""
+def reference_eta(result):
+    """With-branch stop thresholds, one column at a time: the smallest own belief whose stored action continues."""
     b2 = result.grid2.points
-    eta = np.zeros_like(result.eta)
+    eta = np.full((result.k - 1, result.grid1.m), np.inf)
     for i in range(1, result.k):
-        stop = app2.miss_cost * b2
-        best_cont = np.minimum(result.shared_cont[i], result.lam * app2.stages[i].cost_mj + result.own_cont[i])
-        lo, hi = result.solo.bounds[i]
         for j in range(result.grid1.m):
-            if result.primary_continue[i - 1][j]:
-                eta[i - 1, j] = dp._clamp(dp._stop_threshold(result.grid2, stop, best_cont[:, j]), lo, hi)
-            else:
-                eta[i - 1, j] = result.solo.thresholds[i - 1]
+            go = np.flatnonzero(result.actions_with[i - 1][:, j] != STOP)
+            if go.size:
+                eta[i - 1, j] = b2[go[0]]
     return eta
 
 
@@ -725,12 +712,13 @@ class TestCascadeFormChecks:
 
 
 class TestWithBranchThresholds:
-    """`optimize_secondary`'s masked argmax gives the per-column loop's thresholds bit for bit."""
+    """`SecondaryResult.eta` gives the per-column loop's thresholds bit for bit; where the primary
+    stops, a column holds the fallback actions and its thresholds are the solo chain's."""
 
     @pytest.mark.parametrize("m", [100, 200])
     def test_gcw(self, m):
         solved = _solve_gcw(m)
-        np.testing.assert_array_equal(solved.secondary.eta, reference_eta(solved.secondary, solved.app2))
+        np.testing.assert_array_equal(solved.secondary.eta, reference_eta(solved.secondary))
 
     def test_random_instances(self, rng):
         from cascadeshare.robust import robustify_system
@@ -747,4 +735,7 @@ class TestWithBranchThresholds:
             pr = optimize_primary(r1, lam, Grid.uniform(int(rng.integers(5, 60))))
             grid2 = None if trial % 3 else Grid.from_points(rng.random(int(rng.integers(3, 40))))
             sr = optimize_secondary(r2, rshared, pr, lam, grid2)
-            np.testing.assert_array_equal(sr.eta, reference_eta(sr, r2))
+            np.testing.assert_array_equal(sr.eta, reference_eta(sr))
+            stopped = ~sr.primary_continue
+            solo = np.broadcast_to(sr.solo.thresholds[:-1, None], sr.eta.shape)
+            np.testing.assert_array_equal(sr.eta[stopped], solo[stopped])

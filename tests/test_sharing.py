@@ -91,8 +91,8 @@ class TestFallbackBranch:
             assert sr.solo.thresholds[-1] == solo.thresholds[-1]
 
         # independent coupling, shared windows unlike the own ones: the solo chain is still the own
-        # chain's optimization bit for bit, but its thresholds are clamped to the union-window
-        # envelope that either feature can reach
+        # chain's optimization bit for bit, thresholds included, and it keeps the union-window
+        # envelope that either feature can reach as its bounds
         wider = 0
         for _ in range(8):
             app1, app2, shared = (random_app(rng, k=3, bins=3) for _ in range(3))
@@ -101,7 +101,7 @@ class TestFallbackBranch:
             grid = Grid.uniform(81)
             sr = optimize_secondary(r2, rshared, optimize_primary(r1, lam, grid), lam)
             alone = optimize_primary(r2, lam, grid)
-            for name in ("values", "continue_mask", "declare_mask"):
+            for name in ("values", "thresholds", "continue_mask", "declare_mask"):
                 np.testing.assert_array_equal(getattr(sr.solo, name), getattr(alone, name))
             union = belief_bounds(
                 [(min(own.breakpoints.l_lo, sh.breakpoints.l_lo), max(own.breakpoints.l_hi, sh.breakpoints.l_hi))
@@ -109,11 +109,8 @@ class TestFallbackBranch:
                 r2.prior,
             )
             assert sr.solo.bounds == union
-            for i in range(1, sr.k):
-                lo, hi = union[i]
-                assert lo <= sr.solo.thresholds[i - 1] <= hi
             wider += union[1:sr.k] != alone.bounds[1:sr.k]
-        assert wider >= 6  # most instances clamp to an envelope wider than the own one
+        assert wider >= 6  # most instances have an envelope wider than the own one
 
     def test_unavailable_columns_copy_fallback_values(self, rng):
         app = random_app(rng, k=2, bins=3)

@@ -321,6 +321,32 @@ class TestTwinExperiment:
         assert "sim_risk2" in got[0]
 
 
+class TestExecutedRuleIsTheDesign:
+    """Between two grid nodes that store the same action, `simulate`'s rule takes that action.
+
+    The extreme reachable beliefs sit on the stage's belief envelope, so a
+    threshold placed at an envelope bound would decide them by rounding.
+    """
+
+    @pytest.mark.parametrize("prior", [None, 0.05, 0.1, 0.15, 0.2])
+    def test_reachable_beliefs_follow_their_bracketing_nodes(self, prior):
+        from cascadeshare.cli import load_config, solve_system
+
+        system = load_config(str(GCW_CONFIG))
+        assert system.grid_m == 100
+        solved = solve_system(system if prior is None else system.at(prior=prior))
+        for app, result in ((solved.app1, solved.primary), (solved.app2, solved.secondary.solo)):
+            points = result.grid.points
+            guide = sim._Guide(points)
+            reachable = sim.reachable_beliefs_primary(app)
+            for i in range(1, result.k + 1):
+                stored = result.continue_mask[i - 1] if i < result.k else result.declare_mask
+                hi = np.clip(np.searchsorted(points, reachable[i]), 1, points.size - 1)
+                agreed = stored[hi - 1] == stored[hi]
+                pi = reachable[i][agreed]
+                np.testing.assert_array_equal(sim._lookup_rule(guide, result, i, pi), stored[hi][agreed])
+
+
 class TestCoupling:
     def test_twin_requires_identical_shared_models(self, rng):
         app = random_app(rng, k=2, bins=3)

@@ -26,9 +26,11 @@ COMMANDS = {
     "optimize": ["optimize"],
     "optimize_grid200": ["optimize", "--grid", "200"],
     "optimize_budget45": ["optimize", "--budget-mJ", "45"],
+    "optimize_lambda1": ["optimize", "--lambda", "1"],  # no stage continues: thresholds are written as null
     "check": ["check"],
     "simulate": ["simulate", "--trials", "100000", "--seed", "7", "--dump-trials"],
     "simulate_no_sharing": ["simulate", "--no-sharing", "--trials", "1000", "--seed", "3", "--dump-trials"],
+    "simulate_lambda1": ["simulate", "--lambda", "1", "--trials", "1000", "--seed", "3", "--dump-trials"],
     "twin": ["twin"],
     "twin_trials": ["twin", "--trials", "2000", "--seed", "3"],
     "twin_budget50": ["twin", "--budget-mJ", "50"],
