@@ -2,12 +2,14 @@
 
 The multiplier prices feature extraction inside the optimizer; this module
 computes the resulting expected energy per frame and bisects the multiplier
-until consumption meets a system budget.  Consumption is a step-like,
-non-increasing function of the multiplier (policies change discretely).
-The search stops at the first midpoint whose consumption is within budget
-and within the budget's relative tolerance of it; when no midpoint comes
-that close, it narrows the bracket to 1e-12 of its width and returns the
-smallest multiplier seen within budget.
+until consumption meets a system budget.  Consumption is a step function
+of the multiplier (policies change discretely); the bisection assumes it
+non-increasing, as it is for the primary alone.  With two applications it
+need not be: the secondary's options move with the primary's policy.
+The search stops at the first midpoint within budget and within the
+budget's relative tolerance of it; else it narrows the bracket to 1e-12
+of its width and returns the smallest multiplier seen within budget,
+however far under the budget, without saying that it missed.
 
 `solve_system` is how every command and the twin experiment turn a system
 into policies: optimize both applications at the system's multiplier, or,
@@ -17,6 +19,7 @@ multiplier it returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -55,9 +58,11 @@ class BudgetSpec:
     tolerance: float = 1e-3
 
     def __post_init__(self):
+        lo, hi = self.lambda_bracket
+        if not all(math.isfinite(v) for v in (self.budget_mj, self.baseline_mj, lo, hi, self.tolerance)):
+            raise ValueError("budget, baseline, bracket and tolerance must be finite")
         if not self.budget_mj > self.baseline_mj >= 0.0:
             raise ValueError("need budget_mj > baseline_mj >= 0")
-        lo, hi = self.lambda_bracket
         if not 0.0 <= lo < hi:
             raise ValueError("need 0 <= bracket lo < hi")
         if self.tolerance <= 0:
@@ -161,9 +166,10 @@ def solve_lambda(system: CascadeSystem) -> LambdaSolution:
     when even the top of the bracket consumes too much.  Otherwise bisects
     and returns the first midpoint whose consumption is within budget and
     within `tolerance * target` of the target; when none is, the bracket is
-    narrowed to 1e-12 of its width and the cheapest multiplier seen within
-    budget is returned.  The solution carries the policies the search solved
-    at the returned multiplier.
+    narrowed to 1e-12 of its width and the smallest multiplier seen within
+    budget is returned, even if another multiplier meets the budget more
+    closely (see the module docstring).  The solution carries the policies
+    the search solved at the returned multiplier.
 
     The stage models do not depend on the multiplier, and the system's grid
     keeps each stage's belief-transition operator, so every solve of the

@@ -377,7 +377,7 @@ def _cmd_check(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "check.json", doc)
-    print(json.dumps(doc))
+    print(json.dumps(_jsonable(doc)))  # strict JSON, as in the file
     return EXIT_OK
 
 

@@ -50,7 +50,7 @@ class Grid:
             raise ValueError("grid must span [0, 1] exactly")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        # not a field, so fields and repr stay the points'; an entry holds its model, so its id key stays unique
+        # not a field, so fields and repr stay the points'
         object.__setattr__(self, "_transitions", {})
 
     @property
@@ -72,12 +72,13 @@ class Grid:
     def transition(self, model: ConditionalPmf) -> "_Transition":
         """`model`'s belief transition on this grid: built on first use, the same object from then on.
 
-        An operator depends only on the points and the model, so every solve on this grid shares it.
+        An operator depends only on the points and the PMFs, so it is kept under the PMFs' bytes.
         """
-        entry = self._transitions.get(id(model))
-        if entry is None:
-            entry = self._transitions[id(model)] = (model, _Transition(self, model))
-        return entry[1]
+        key = (model.p0.tobytes(), model.p1.tobytes())
+        op = self._transitions.get(key)
+        if op is None:
+            op = self._transitions[key] = _Transition(self, model)
+        return op
 
 
 @dataclass(frozen=True)
@@ -251,12 +252,13 @@ class SecondaryResult:
     solved by the primary's recursion, with the union-window envelope as its
     `bounds`.  Its stage-0 value is the no-sharing value (first
     own feature forced); `k`, `grid2` and `lam` are read from it.
+    `sharing_gap` is all the sharing-condition check reads of the two
+    continuations; it is -inf where the shared feature is never on offer.
     """
 
     grid1: Grid
     with_values: np.ndarray      # (K+1, M2, M1)
-    shared_cont: np.ndarray      # (K, M2, M1): E[V(next) | shared feature], no cost
-    own_cont: np.ndarray         # (K, M2, M1): E[V(next) | own feature], cost excluded
+    sharing_gap: np.ndarray      # (K,): max E[V(next) | shared] - E[V(next) | own] where shared is on offer
     actions_with: np.ndarray     # (K-1, M2, M1) int8 in {STOP, USE_SHARED, USE_OWN}
     delta0: np.ndarray           # (M2, M1) int8 in {USE_SHARED, USE_OWN}
     solo: PrimaryResult          # the own-feature chain on grid2, after the primary stops
@@ -310,8 +312,8 @@ def optimize_secondary(
     Exact ties go to continuing and to sharing.  Each of those comparisons
     allows a slack of `_TIE_SLACK * C_M`, a few ulps of the largest value,
     so that a tie is settled by the rule and not by rounding in the last
-    digits.  A shared model that is the own stage's model object (a twin
-    clone) has the same operator, and its expectation is taken once.
+    digits.  A shared model with the own stage's PMFs (as in a twin) has the
+    same operator, and its one expectation serves both features.
     """
     if len(shared_stages) != app2.k:
         raise ValueError("need one shared-feature model per stage")
@@ -336,10 +338,12 @@ def optimize_secondary(
 
     # one block for all (M2 x M1) value tables: once glibc has freed a block this size it raises its
     # mmap threshold to it and serves later solves from pages it keeps, where 3K + 1 separate
-    # tables at large M are faulted in afresh on every solve
+    # tables at large M are faulted in afresh on every solve.  The continuations keep their rows, though
+    # the result keeps only their gaps: a block of K + 3 tables made M = 400 solves markedly slower
     tables = np.zeros((3 * k + 1, m2, m1))
     with_values, shared_cont, own_cont = tables[:k + 1], tables[k + 1:2 * k + 1], tables[2 * k + 1:]
     actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
+    sharing_gap = np.empty(k)
 
     solo = _optimal_stopping(app2, lam, grid2, bounds2)
     with_values[k] = solo.values[k][:, None]
@@ -352,12 +356,11 @@ def optimize_secondary(
 
         # written in place: fresh (M2 x M1) temporaries cost page faults at large M
         f1 = t_shared.expect(with_values[i + 1], out=shared_cont[i])
-        if t_own is t_shared:  # a twin clone: both features give the same expectation
-            f2 = own_cont[i]
-            f2[...] = f1
-        else:
-            f2 = t_own.expect(with_values[i + 1], out=own_cont[i])
+        same = t_own is t_shared  # equal models: both features give the same expectation
+        f2 = f1 if same else t_own.expect(with_values[i + 1], out=own_cont[i])
         priced = lam * own.cost_mj + f2
+        avail = primary.continue_mask[i - 1] if i else np.ones(m1, dtype=bool)  # shared feature on offer
+        sharing_gap[i] = -np.inf if not avail.any() else 0.0 if same else (f1 - f2)[:, avail].max()
 
         if i == 0:
             # no stop action before the first observation
@@ -366,7 +369,6 @@ def optimize_secondary(
             continue
 
         stop = cm * b2
-        avail = primary.continue_mask[i - 1]
         best_cont = np.minimum(f1, priced)
         table = np.minimum(stop[:, None], best_cont, out=with_values[i])
         table[:, ~avail] = solo.values[i][:, None]
@@ -378,8 +380,7 @@ def optimize_secondary(
         actions_with[i - 1] = act
 
     return SecondaryResult(
-        grid1, with_values, shared_cont, own_cont, actions_with, delta0, solo,
-        primary.continue_mask.copy(),
+        grid1, with_values, sharing_gap, actions_with, delta0, solo, primary.continue_mask.copy(),
     )
 
 
@@ -389,29 +390,19 @@ class SharingCheck:
 
     stage: int            # feature index i = 1..K (decision taken at stage i-1)
     passes: bool
-    worst_margin: float   # max over grid of E[V|shared] - E[V|own] - lam*D; <= 0 passes
+    worst_margin: float   # the stage's sharing gap - lam*D; <= 0 passes
 
 
 def check_sharing_condition(result: SecondaryResult, app2: AppConfig):
     """Evaluate, per stage, whether taking the shared feature is always optimal.
 
-    The check compares the two continuation expectations directly against
-    the priced own-feature cost at every grid cell where the shared feature
-    is actually on offer; a pass (worst margin <= 0) guarantees the
-    optimizer never selects the own feature there (ties prefer sharing).
+    The check prices each stage's sharing gap, the largest excess of the
+    shared over the own continuation where the shared feature is on offer,
+    against the own feature's cost; a pass (worst margin <= 0) guarantees
+    the optimizer never selects the own feature there (ties prefer sharing).
     """
-    checks = []
-    lam = result.lam
-    for i in range(result.k):
-        diff = result.shared_cont[i] - result.own_cont[i]
-        if i == 0:
-            worst = float(diff.max())
-        else:
-            avail = result.primary_continue[i - 1]
-            worst = float(diff[:, avail].max()) if avail.any() else float("-inf")
-        worst -= lam * app2.stages[i].cost_mj
-        checks.append(SharingCheck(i + 1, bool(worst <= 0.0), worst))
-    return checks
+    worst = [gap - result.lam * stage.cost_mj for gap, stage in zip(result.sharing_gap.tolist(), app2.stages)]
+    return [SharingCheck(i + 1, bool(w <= 0.0), w) for i, w in enumerate(worst)]
 
 
 def cascade_optimality_primary(result: PrimaryResult, app: AppConfig) -> list[bool]:

@@ -144,8 +144,8 @@ class AppConfig:
             raise ValueError("need at least one stage (K >= 1)")
         if not 0.0 < float(self.prior) < 1.0:
             raise ValueError("prior must lie strictly inside (0, 1)")
-        if self.miss_cost < 0 or self.fa_cost < 0:
-            raise ValueError("costs must be nonnegative")
+        if not (0.0 <= self.miss_cost < math.inf and 0.0 <= self.fa_cost < math.inf):
+            raise ValueError(f"costs must be finite and nonnegative, got {self.miss_cost!r} and {self.fa_cost!r}")
 
     @property
     def k(self) -> int:

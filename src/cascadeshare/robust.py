@@ -83,8 +83,8 @@ class StageModel:
     breakpoints: Optional[Breakpoints] = None
 
     def __post_init__(self):
-        if self.cost_mj < 0:
-            raise ValueError("cost_mj must be nonnegative")
+        if not 0.0 <= self.cost_mj < math.inf:
+            raise ValueError(f"cost_mj must be finite and nonnegative, got {self.cost_mj!r}")
 
     @property
     def effective(self) -> ConditionalPmf:

@@ -79,9 +79,11 @@ class CascadeSystem:
         if (self.lam is None) == (self.budget is None):
             raise ValueError("exactly one of lambda and budget must be given")
         if self.lam is not None:
-            if self.lam < 0:
-                raise ValueError("lambda must be nonnegative")
+            if not 0.0 <= self.lam < math.inf:
+                raise ValueError(f"lambda must be finite and nonnegative, got {self.lam!r}")
             object.__setattr__(self, "lam", float(self.lam))
+        if not 0.0 <= self.baseline_mj < math.inf:
+            raise ValueError(f"baseline must be finite and nonnegative, got {self.baseline_mj!r} mJ")
         if self.grid_m < 2:
             raise ValueError("need M >= 2")
         object.__setattr__(self, "shared", _check_pairing(self.primary, self.secondary, self.shared, self.coupling))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,18 @@ class TestCheck:
         assert doc["sharing_all_pass"] is True
         assert all(s["passes"] for s in doc["sharing"])
         assert len(doc["sharing"]) == 3
+
+    def test_stdout_is_check_json_as_strict_json(self, tmp_path):
+        """At lambda 1 the primary never continues, so later stages offer no shared feature and
+        their worst margins are -inf: the status line writes them as null, as check.json does."""
+        def refuse(token):
+            raise ValueError(f"non-finite token {token}")
+
+        proc = run_cli("check", "--config", str(CONFIG), "--lambda", "1", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout, parse_constant=refuse)
+        assert doc == json.loads((tmp_path / "check.json").read_text(), parse_constant=refuse)
+        assert None in [s["worst_margin"] for s in doc["sharing"]]
 
 
 class TestTwinAndSweep:
@@ -350,9 +363,13 @@ class TestRobustifyOnce:
 
 
 class TestOperatorsOnce:
-    """Each command builds each distinct stage model's transition operator once, on the system's grid."""
+    """Each command builds one transition operator per distinct PMF pair, on the system's grid,
+    however many stage model objects ask for it."""
 
-    @pytest.mark.parametrize("command, extra, builds", [
+    # the bundled config's 9 stage models (primary, secondary and shared) hold 3 distinct PMF pairs
+    DISTINCT_PMF_PAIRS = 3
+
+    @pytest.mark.parametrize("command, extra, models", [
         ("optimize", (), 9),
         ("optimize", ("--budget-mJ", "45"), 9),
         ("check", (), 9),
@@ -361,20 +378,26 @@ class TestOperatorsOnce:
         # the twin clones the primary, so its three stage models serve all three chains
         ("twin", (), 3),
     ])
-    def test_per_command(self, monkeypatch, capsys, tmp_path, command, extra, builds):
+    def test_per_command(self, monkeypatch, capsys, tmp_path, command, extra, models):
         from cascadeshare import cli, dp
 
-        seen = []
-        original = dp._Transition
+        built, asked = [], set()
+        original, transition = dp._Transition, dp.Grid.transition
 
         def counting(grid, model):
-            seen.append(model)
+            built.append(model)
             return original(grid, model)
 
+        def asking(grid, model):
+            asked.add(id(model))  # every model lives in the command's system until it exits
+            return transition(grid, model)
+
         monkeypatch.setattr(dp, "_Transition", counting)
+        monkeypatch.setattr(dp.Grid, "transition", asking)
         assert cli.main([command, "--config", str(CONFIG), *extra, "--out-dir", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert len(seen) == builds
+        assert len(asked) == models
+        assert len(built) == self.DISTINCT_PMF_PAIRS
 
 
 def _reference_csv(path, header, rows):
@@ -603,7 +626,52 @@ class TestEstimate:
         assert err["error"] == "config_error"
 
 
+def _nan_stage_cost(doc):
+    stage = doc["secondary"]["stages"][0]
+    del stage["cost_components"]
+    stage["cost_mJ"] = math.nan
+
+
+def _budget(**fields):
+    def edit(doc):
+        del doc["lambda"]
+        doc["budget"] = {"budget_mJ": 45.0, **fields}
+    return edit
+
+
+# config edits (and overrides) that put a non-finite or negative number where the system needs a
+# finite, nonnegative one
+BAD_NUMBERS = {
+    "lambda_override_nan": (("--lambda", "nan"), lambda doc: None),
+    "lambda_infinity": ((), lambda doc: doc.update({"lambda": math.inf})),
+    "baseline_mW_negative": ((), lambda doc: doc.update(baseline_mW=-3.6)),
+    "frame_ms_negative": ((), lambda doc: doc.update(frame_ms=-32.0)),
+    "baseline_mJ_nan": ((), lambda doc: (doc.pop("baseline_mW"), doc.update(baseline_mJ=math.nan))),
+    "stage_cost_nan": ((), _nan_stage_cost),
+    "miss_cost_nan": ((), lambda doc: doc["primary"].update(miss_cost=math.nan)),
+    "fa_cost_infinity": ((), lambda doc: doc["secondary"].update(fa_cost=math.inf)),
+    "budget_tolerance_nan": ((), _budget(tolerance=math.nan)),
+    "lambda_bracket_infinity": ((), _budget(lambda_bracket=[0.0, math.inf])),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("case", BAD_NUMBERS)
+    def test_non_finite_or_negative_number_exits_2_before_solving(self, monkeypatch, capsys, tmp_path, case):
+        from cascadeshare import cli, robust
+
+        extra, edit = BAD_NUMBERS[case]
+        doc = json.loads(CONFIG.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        robustified = []
+        monkeypatch.setattr(robust, "robustify_stage", robustified.append)
+        assert cli.main(["optimize", "--config", str(bad), *extra, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "config_error"
+        assert robustified == []
+
     def test_missing_config_exits_2(self, tmp_path):
         proc = run_cli("optimize", "--config", str(tmp_path / "nope.json"),
                        "--out-dir", str(tmp_path))

@@ -461,25 +461,29 @@ class TestTransitionOperator:
         # rows are evidence distributions: each sums to one
         np.testing.assert_allclose(op.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_grid_keeps_one_operator_per_model_object(self, rng):
-        """The same model gives the same operator; an equal but distinct one gets its own, bitwise equal."""
+    def test_grid_keeps_one_operator_per_pmf_pair(self, rng):
+        """The same model, or an equal but distinct one, gives the same operator; other PMFs get their own.
+        The grid keeps operators under the PMFs' bytes and holds no model."""
         from dataclasses import fields
 
         grid = Grid.uniform(17)
         model = random_pmf(rng, 5)
         op = grid.transition(model)
         assert grid.transition(model) is op
-        twin = replace(model)
-        other = grid.transition(twin)
-        assert other is not op and grid.transition(twin) is other
-        assert other.matrix.tobytes() == op.matrix.tobytes()
+        assert grid.transition(replace(model)) is op
+        swapped = ConditionalPmf(p0=model.p1, p1=model.p0)
+        other = grid.transition(swapped)
+        assert other is not op and grid.transition(swapped) is other
+        assert other.matrix.tobytes() == dp._Transition(grid, swapped).matrix.tobytes()
         assert Grid.uniform(17).transition(model) is not op
+        assert all(type(v) is dp._Transition for v in grid._transitions.values())
+        assert all(type(b) is bytes for key in grid._transitions for b in key)
         assert tuple(f.name for f in fields(Grid)) == ("points",)
         assert repr(grid) == repr(Grid.uniform(17))
 
     def test_twin_clone_reuses_its_own_operators(self, rng):
-        """A twin clone's shared chain gets the own chain's operators and skips the second product;
-        the solve is bitwise the one whose shared chain holds equal but distinct models."""
+        """A twin clone's shared chain, and equal but distinct copies of it, get the own chain's
+        operators and skip the second product; the two solves are bitwise equal."""
         from cascadeshare.sim import exact_grid_primary
 
         for j in range(12):
@@ -491,7 +495,7 @@ class TestTransitionOperator:
             got = optimize_secondary(app, app.stages, pr, lam)
             want = optimize_secondary(app, copies, pr, lam)
             for s, c in zip(app.stages, copies):
-                assert grid.transition(c.effective) is not grid.transition(s.effective)
+                assert grid.transition(c.effective) is grid.transition(s.effective)
             assert_bitwise_equal(got, want)
 
 

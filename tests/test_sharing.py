@@ -135,8 +135,9 @@ class TestSharingDominance:
 
 class TestSharingMarginOracle:
     def test_margins_match_direct_enumeration(self, rng):
-        """Recompute both continuation expectations by explicit summation
-        over bins and interpolation nodes at every grid cell."""
+        """Recompute the continuation expectation by explicit summation over
+        bins and interpolation nodes at every grid cell; in the twin both
+        features take it, so the sharing gap is 0 wherever it is finite."""
         app = random_app(rng, k=2, bins=3, u_scale=0.0)
         lam = 0.15
         rapp, pr, sr = twin_solution(app, lam, m=41)
@@ -157,8 +158,61 @@ class TestSharingMarginOracle:
                 k = min(np.searchsorted(g2, nxt, side="right") - 1, g2.size - 2)
                 w = (nxt - g2[k]) / (g2[k + 1] - g2[k])
                 f1[a, :] += e * ((1 - w) * table[k, :] + w * table[k + 1, :])
-        np.testing.assert_allclose(sr.shared_cont[1], f1, atol=1e-12)
-        np.testing.assert_allclose(sr.own_cont[1], f1, atol=1e-12)  # twin: same models
+        np.testing.assert_allclose(sr.grid2.transition(own).expect(table), f1, atol=1e-12)
+        assert sr.sharing_gap[0] == 0.0  # every cell offers the first shared feature
+        assert np.all((sr.sharing_gap == 0.0) | (sr.sharing_gap == -np.inf))
+
+
+class TestSharingGap:
+    def test_independent_margins_match_operator_reference(self, rng):
+        """On independent-coupling instances each stage's worst margin is the largest
+        difference of the two continuations, recomputed from the grid's operators, over
+        the cells where the shared feature is on offer, less the priced own feature."""
+        finite = offered_nowhere = 0
+        for j in range(16):
+            k = int(rng.integers(1, 4))
+            app1, app2, shared = (random_app(rng, k=k, bins=int(rng.integers(2, 6))) for _ in range(3))
+            r1, r2, rshared = robustify_system(app1, app2, shared.stages)
+            # a large multiplier makes the primary stop early, so some stages offer no shared feature
+            lam = float(rng.uniform(0, 0.3) if j % 2 else rng.uniform(1.0, 3.0))
+            grid = Grid.uniform(int(rng.integers(3, 90)))
+            pr = optimize_primary(r1, lam, grid)
+            sr = optimize_secondary(r2, rshared, pr, lam)
+            checks = check_sharing_condition(sr, r2)
+            assert [c.stage for c in checks] == list(range(1, k + 1))
+            for i, (c, own, sh) in enumerate(zip(checks, r2.stages, rshared)):
+                nxt = sr.with_values[i + 1]
+                diff = grid.transition(sh.effective).expect(nxt) - grid.transition(own.effective).expect(nxt)
+                avail = pr.continue_mask[i - 1] if i else np.ones(grid.m, dtype=bool)
+                gap = diff[:, avail].max() if avail.any() else -np.inf
+                assert c.worst_margin == pytest.approx(gap - lam * own.cost_mj, rel=0, abs=1e-12)
+                assert c.passes == (c.worst_margin <= 0.0)
+                finite += bool(np.isfinite(gap) and gap != 0.0)
+                offered_nowhere += not avail.any()
+        assert finite >= 16 and offered_nowhere >= 1  # both kinds of stage are covered
+
+    def test_bundled_config_takes_one_product_for_both_features(self, monkeypatch):
+        """The bundled config's own and shared models hold equal PMFs, so one solve takes
+        K products for the solo chain and K that serve both features: 2K in all."""
+        from pathlib import Path
+
+        from cascadeshare import dp
+        from cascadeshare.cli import load_config
+
+        system = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"))
+        app1, app2, shared = system.robustified
+        pr = optimize_primary(app1, system.lam, system.grid)
+        calls = []
+        expect = dp._Transition.expect
+
+        def counting(op, *args, **kwargs):
+            calls.append(op)
+            return expect(op, *args, **kwargs)
+
+        monkeypatch.setattr(dp._Transition, "expect", counting)
+        sr = optimize_secondary(app2, shared, pr, system.lam)
+        assert len(calls) == 2 * app2.k == 6
+        assert np.all((sr.sharing_gap == 0.0) | (sr.sharing_gap == -np.inf))
 
 
 class TestSecondaryCascadeOptimality:
