@@ -113,9 +113,9 @@ def _system_from_doc(doc: dict) -> CascadeSystem:
         coupling=doc.get("coupling", "twin"),
         budget=budget,
         baseline_mj=baseline,
-        grid_m=int(doc.get("grid_m", 100)),
-        seed=int(doc.get("seed", 0)),
-        trials=int(doc.get("trials", 100_000)),
+        grid_m=doc.get("grid_m", 100),
+        seed=doc.get("seed", 0),
+        trials=doc.get("trials", 100_000),
         priors=tuple(float(p) for p in doc.get("priors", [])),
     )
 
@@ -133,7 +133,7 @@ def load_config(path: str) -> CascadeSystem:
 
 
 def _run_config(args) -> CascadeSystem:
-    """The command's system, with its `--lambda`, `--budget-mJ` and `--grid` overrides installed.
+    """The command's system, with its `--lambda`, `--budget-mJ`, `--grid`, `--seed` and `--trials` overrides installed.
 
     A `--budget-mJ` override replaces the config's multiplier or budget
     amount and keeps its baseline, bracket and tolerance, so every command
@@ -142,8 +142,8 @@ def _run_config(args) -> CascadeSystem:
     budget.
     """
     system = load_config(args.config)
-    if args.grid is not None:
-        system = replace(system, grid_m=int(args.grid))
+    overrides = {"grid_m": args.grid, "seed": getattr(args, "seed", None), "trials": getattr(args, "trials", None)}
+    system = replace(system, **{name: value for name, value in overrides.items() if value is not None})
     if args.budget_mj is None:
         return system if args.lam is None else replace(system, lam=args.lam, budget=None)
     if args.lam is not None:
@@ -290,14 +290,13 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system = _run_config(args)
-    n_trials = system.trials if args.trials is None else args.trials
-    if n_trials < 1:
+    if system.trials < 1:
         raise ConfigError("need at least one trial")
     solved = solve_system(system)
     report = simulate(
         solved.system, solved.primary, solved.secondary,
-        n_trials=n_trials,
-        seed=args.seed if args.seed is not None else system.seed,
+        n_trials=system.trials,
+        seed=system.seed,
         no_sharing=args.no_sharing,
     )
     out_dir = Path(args.out_dir)
@@ -322,10 +321,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_twin(args) -> int:
     system = _run_config(args)
-    if args.trials is not None and args.trials < 0:
-        raise ConfigError("--trials must be nonnegative")
-    rows = twin_experiment(system, _priors(args, system), trials=0 if args.trials is None else args.trials,
-                           seed=args.seed if args.seed is not None else system.seed)
+    rows = twin_experiment(system, _priors(args, system), trials=0 if args.trials is None else system.trials,
+                           seed=system.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"rows": rows})

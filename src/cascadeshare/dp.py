@@ -20,7 +20,9 @@ secondary tables is carried as a fixed parameter (per-column recursion);
 the executed policy re-reads the live primary belief at every stage.  This
 keeps the shared-feature and own-feature continuations exactly comparable
 column by column, which is what makes the feature-sharing optimality
-condition checkable per grid point.
+condition checkable per grid point.  A column then depends on the primary
+belief only through its availability pattern (the stages at which the
+primary's stored actions keep the shared feature on offer).
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class _Transition:
         T[m, n] = sum_y e(m, y) * hat_n(pi_next(m, y)).
 
     The backward pass takes expectations with `T @ v`, for a value vector or
-    a table with one column per primary belief; the forward pass moves
+    a table with one column per availability pattern; the forward pass moves
     belief mass with the adjoint `T.T @ mass`.  Forward is therefore the
     exact adjoint of backward by construction.  Interpolation on a grid
     keeps the value functions concave (Lovejoy 1991).  The matrix is built
@@ -131,9 +133,9 @@ class _Transition:
         weights = np.concatenate([(evidence * (1.0 - w_hi)).ravel(), (evidence * w_hi).ravel()])
         self.matrix = np.bincount(cells, weights=weights, minlength=m * m).reshape(m, m)
 
-    def expect(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """E[V(pi_next)] per grid point; a 2-D table is taken column by column (into `out` if given)."""
-        return np.matmul(self.matrix, values, out=out)
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """E[V(pi_next)] per grid point; a 2-D table is taken column by column."""
+        return self.matrix @ values
 
     def push(self, mass: np.ndarray) -> np.ndarray:
         """Adjoint of `expect`: propagate belief mass (a vector or per-column table) one stage."""
@@ -313,7 +315,9 @@ def optimize_secondary(
     allows a slack of `_TIE_SLACK * C_M`, a few ulps of the largest value,
     so that a tie is settled by the rule and not by rounding in the last
     digits.  A shared model with the own stage's PMFs (as in a twin) has the
-    same operator, and its one expectation serves both features.
+    same operator, and its one expectation serves both features.  The
+    recursion runs once per distinct availability pattern, on (M2 x P)
+    tables (P <= min(M1, 2^(K-1))), and the result gathers their columns.
     """
     if len(shared_stages) != app2.k:
         raise ValueError("need one shared-feature model per stage")
@@ -325,9 +329,8 @@ def optimize_secondary(
     grid2 = primary.grid if grid2 is None else grid2
     grid1 = primary.grid
     k = app2.k
-    b2 = grid2.points
     cm = app2.miss_cost
-    m2, m1 = grid2.m, grid1.m
+    stop = cm * grid2.points
 
     # pi2 envelope: each stage may use either feature, so take the union window
     bounds2 = belief_bounds(
@@ -336,13 +339,15 @@ def optimize_secondary(
         app2.prior,
     )
 
-    # one block for all (M2 x M1) value tables: once glibc has freed a block this size it raises its
-    # mmap threshold to it and serves later solves from pages it keeps, where 3K + 1 separate
-    # tables at large M are faulted in afresh on every solve.  The continuations keep their rows, though
-    # the result keeps only their gaps: a block of K + 3 tables made M = 400 solves markedly slower
-    tables = np.zeros((3 * k + 1, m2, m1))
-    with_values, shared_cont, own_cont = tables[:k + 1], tables[k + 1:2 * k + 1], tables[2 * k + 1:]
-    actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
+    # each column's availability pattern, numbered one stage at a time so that the codes stay below 2 * M1
+    column = np.zeros(grid1.m, dtype=np.intp)
+    for row in primary.continue_mask:
+        codes = 2 * column + row
+        column = np.searchsorted(np.unique(codes), codes)
+    patterns = np.zeros((max(k - 1, 0), column.max() + 1), dtype=bool)
+    patterns[:, column] = primary.continue_mask  # equal columns write equal values
+    with_values = np.zeros((k + 1, grid2.m, patterns.shape[1]))
+    actions_with = np.zeros((max(k - 1, 0), grid2.m, patterns.shape[1]), dtype=np.int8)
     sharing_gap = np.empty(k)
 
     solo = _optimal_stopping(app2, lam, grid2, bounds2)
@@ -354,12 +359,11 @@ def optimize_secondary(
         own = app2.stages[i]
         t_own, t_shared = own_ops[i], shared_ops[i]
 
-        # written in place: fresh (M2 x M1) temporaries cost page faults at large M
-        f1 = t_shared.expect(with_values[i + 1], out=shared_cont[i])
+        f1 = t_shared.expect(with_values[i + 1])
         same = t_own is t_shared  # equal models: both features give the same expectation
-        f2 = f1 if same else t_own.expect(with_values[i + 1], out=own_cont[i])
+        f2 = f1 if same else t_own.expect(with_values[i + 1])
         priced = lam * own.cost_mj + f2
-        avail = primary.continue_mask[i - 1] if i else np.ones(m1, dtype=bool)  # shared feature on offer
+        avail = patterns[i - 1] if i else np.ones(patterns.shape[1], dtype=bool)  # shared feature on offer
         sharing_gap[i] = -np.inf if not avail.any() else 0.0 if same else (f1 - f2)[:, avail].max()
 
         if i == 0:
@@ -368,20 +372,17 @@ def optimize_secondary(
             delta0 = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
             continue
 
-        stop = cm * b2
         best_cont = np.minimum(f1, priced)
-        table = np.minimum(stop[:, None], best_cont, out=with_values[i])
-        table[:, ~avail] = solo.values[i][:, None]
+        with_values[i] = np.minimum(stop[:, None], best_cont)
+        with_values[i][:, ~avail] = solo.values[i][:, None]
 
         act = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
         act[best_cont > stop[:, None] + tie] = STOP
-        fallback = np.where(solo.continue_mask[i - 1], USE_OWN, STOP).astype(np.int8)
-        act[:, ~avail] = fallback[:, None]
+        act[:, ~avail] = np.where(solo.continue_mask[i - 1], USE_OWN, STOP)[:, None]  # the fallback
         actions_with[i - 1] = act
 
-    return SecondaryResult(
-        grid1, with_values, sharing_gap, actions_with, delta0, solo, primary.continue_mask.copy(),
-    )
+    return SecondaryResult(grid1, with_values[:, :, column], sharing_gap, actions_with[:, :, column],
+                           delta0[:, column], solo, primary.continue_mask.copy())
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,10 @@ class CascadeSystem:
             object.__setattr__(self, "lam", float(self.lam))
         if not 0.0 <= self.baseline_mj < math.inf:
             raise ValueError(f"baseline must be finite and nonnegative, got {self.baseline_mj!r} mJ")
-        if self.grid_m < 2:
-            raise ValueError("need M >= 2")
+        for name, least in (("grid_m", 2), ("seed", 0), ("trials", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "shared", _check_pairing(self.primary, self.secondary, self.shared, self.coupling))
 
     @cached_property

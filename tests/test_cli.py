@@ -655,7 +655,33 @@ BAD_NUMBERS = {
 }
 
 
+# config edits (and overrides) that put something other than an integer, or a negative seed, where the
+# system needs an integer; each ran `simulate` to the end or failed only after solving
+BAD_INTEGERS = {
+    "grid_m_fraction": ((), {"grid_m": 50.5}),
+    "grid_m_string": ((), {"grid_m": "60"}),
+    "trials_bool": ((), {"trials": True}),
+    "seed_fraction": ((), {"seed": 1.5}),
+    "seed_override_negative": (("--seed", "-1"), {}),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("case", BAD_INTEGERS)
+    def test_non_integer_setting_exits_2_before_solving(self, monkeypatch, capsys, tmp_path, case):
+        from cascadeshare import cli, robust
+
+        extra, fields = BAD_INTEGERS[case]
+        doc = {**json.loads(CONFIG.read_text()), **fields}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        robustified = []
+        monkeypatch.setattr(robust, "robustify_stage", robustified.append)
+        assert cli.main(["simulate", "--config", str(bad), *extra, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "config_error"
+        assert robustified == []
+
     @pytest.mark.parametrize("case", BAD_NUMBERS)
     def test_non_finite_or_negative_number_exits_2_before_solving(self, monkeypatch, capsys, tmp_path, case):
         from cascadeshare import cli, robust

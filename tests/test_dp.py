@@ -30,7 +30,7 @@ GCW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json
 
 # ---------------------------------------------------------------------------
 # reference kernels: the per-support-bin loops that the M x M operator
-# replaced, and the full (M2 x M1) secondary forward pass
+# replaced, and the full (M2 x M1) secondary recursion and forward pass
 # ---------------------------------------------------------------------------
 
 class LoopTransition:
@@ -81,15 +81,49 @@ class LoopTransition:
             np.add.at(out, self.idx[:, y] + 1, contrib * self.w_hi[:, y][:, None])
         return out
 
-    def expect(self, x, out=None):
-        result = self.expect_columns(x) if x.ndim == 2 else self.expect_vector(x)
-        if out is None:
-            return result
-        out[...] = result
-        return out
+    def expect(self, x):
+        return self.expect_columns(x) if x.ndim == 2 else self.expect_vector(x)
 
     def push(self, x):
         return self.push_columns(x) if x.ndim == 2 else self.push_vector(x)
+
+
+def reference_optimize_secondary(app2, shared_stages, primary, lam, grid2=None):
+    """The secondary recursion on full (M2 x M1) tables: every primary-grid column is solved on its own."""
+    grid2 = primary.grid if grid2 is None else grid2
+    k, b2, cm = app2.k, grid2.points, app2.miss_cost
+    m2, m1 = grid2.m, primary.grid.m
+    bounds2 = dp.belief_bounds(
+        [(min(own.breakpoints.l_lo, sh.breakpoints.l_lo), max(own.breakpoints.l_hi, sh.breakpoints.l_hi))
+         for own, sh in zip(app2.stages, shared_stages)],
+        app2.prior,
+    )
+    solo = dp._optimal_stopping(app2, lam, grid2, bounds2)
+    with_values = np.zeros((k + 1, m2, m1))
+    with_values[k] = solo.values[k][:, None]
+    actions_with = np.zeros((max(k - 1, 0), m2, m1), dtype=np.int8)
+    sharing_gap = np.empty(k)
+    tie = dp._TIE_SLACK * cm
+    stop = cm * b2
+    for i in range(k - 1, -1, -1):
+        f1 = grid2.transition(shared_stages[i].effective).expect(with_values[i + 1])
+        f2 = grid2.transition(app2.stages[i].effective).expect(with_values[i + 1])
+        priced = lam * app2.stages[i].cost_mj + f2
+        avail = primary.continue_mask[i - 1] if i else np.ones(m1, dtype=bool)
+        sharing_gap[i] = (f1 - f2)[:, avail].max() if avail.any() else -np.inf
+        share = np.where(f1 <= priced + tie, np.int8(USE_SHARED), np.int8(USE_OWN))
+        if i == 0:
+            with_values[0] = np.minimum(f1, priced)
+            delta0 = share
+            continue
+        best_cont = np.minimum(f1, priced)
+        with_values[i] = np.minimum(stop[:, None], best_cont)
+        with_values[i][:, ~avail] = solo.values[i][:, None]
+        share[best_cont > stop[:, None] + tie] = STOP
+        share[:, ~avail] = np.where(solo.continue_mask[i - 1], USE_OWN, STOP)[:, None]
+        actions_with[i - 1] = share
+    return dp.SecondaryResult(primary.grid, with_values, sharing_gap, actions_with, delta0, solo,
+                              primary.continue_mask.copy())
 
 
 def reference_forward_secondary(result, app2, shared_stages, prior1):
@@ -556,6 +590,84 @@ class TestTwoColumnForwardSecondary:
         got = forward_secondary(sr, rapp, rapp.stages, app.prior)
         _assert_same_forward(got, reference_forward_secondary(sr, rapp, rapp.stages, app.prior))
         assert got[0].total == pytest.approx(sr.value_at(app.prior, app.prior), abs=1e-12)
+
+
+def _spy_on_expect(monkeypatch):
+    """The shapes of the 2-D tables handed to `_Transition.expect` from now on (vectors are left out)."""
+    tables = []
+    expect = dp._Transition.expect
+
+    def spy(op, values):
+        if values.ndim == 2:
+            tables.append(values.shape)
+        return expect(op, values)
+
+    monkeypatch.setattr(dp._Transition, "expect", spy)
+    return tables
+
+
+class TestPerPatternRecursion:
+    """The secondary is solved once per availability pattern and agrees with the full-column reference."""
+
+    @staticmethod
+    def _instance(rng, trial):
+        """Twin or independent coupling, K = 1-4, uniform or exact grids, and lam = 1 with every stage
+        dearer than a miss, where the primary stops everywhere and there is one pattern."""
+        from cascadeshare.robust import robustify_system
+        from cascadeshare.sim import exact_grid_primary, exact_grid_secondary
+
+        k = 1 + trial % 4
+        dear = trial % 5 == 4
+        lam = 1.0 if dear else float(rng.uniform(0.0, 0.3))
+        app1 = random_app(rng, k=k, bins=3)
+        if trial % 2:
+            app2, shared = app1, app1.stages
+        else:
+            app2 = replace(random_app(rng, k=k, bins=3), prior=app1.prior)
+            shared = random_app(rng, k=k, bins=3).stages
+        if dear:
+            app1, app2 = (replace(a, stages=tuple(replace(s, cost_mj=3.5) for s in a.stages)) for a in (app1, app2))
+        r1, r2, rshared = robustify_system(app1, app2, shared)
+        if trial % 3 == 0 and k <= 3:
+            return r1, r2, rshared, lam, exact_grid_primary(r1), exact_grid_secondary(r2, rshared)
+        grid2 = None if trial % 3 == 1 else Grid.uniform(int(rng.integers(3, 60)))
+        return r1, r2, rshared, lam, Grid.uniform(int(rng.integers(3, 60))), grid2
+
+    def test_matches_full_column_reference(self, rng, monkeypatch):
+        seen = set()
+        for trial in range(60):
+            r1, r2, rshared, lam, grid1, grid2 = self._instance(rng, trial)
+            pr = optimize_primary(r1, lam, grid1)
+            patterns = len({column.tobytes() for column in pr.continue_mask.T})
+            tables = _spy_on_expect(monkeypatch)
+            got = optimize_secondary(r2, rshared, pr, lam, grid2)
+            monkeypatch.undo()
+            want = reference_optimize_secondary(r2, rshared, pr, lam, grid2)
+            assert tables and all(shape == (got.grid2.m, patterns) for shape in tables)
+            for name in ("actions_with", "delta0", "primary_continue"):
+                assert_bitwise_equal(getattr(got, name), getattr(want, name), name)
+            assert_bitwise_equal(got.solo, want.solo)
+            assert got.grid1 is pr.grid and got.with_values.shape == want.with_values.shape
+            np.testing.assert_allclose(got.with_values, want.with_values, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.sharing_gap, want.sharing_gap, rtol=0, atol=1e-15)
+            if lam == 1.0:
+                assert patterns == 1 and not pr.continue_mask.any()
+            seen.update({("k", r1.k), ("patterns", min(patterns, 2)), ("m1 != m2", got.grid1.m != got.grid2.m),
+                         ("twin", r2 is r1)})
+        assert seen >= {("k", 1), ("k", 2), ("k", 3), ("k", 4), ("patterns", 1), ("patterns", 2),
+                        ("m1 != m2", True), ("m1 != m2", False), ("twin", True), ("twin", False)}
+
+    def test_bundled_config_solves_three_columns_at_m200(self, monkeypatch):
+        """gcw's primary has 3 availability patterns at M = 200: the secondary's products take 3 columns, not 200."""
+        from cascadeshare.cli import load_config
+
+        system = replace(load_config(str(GCW_CONFIG)), grid_m=200)
+        app1, app2, shared = system.robustified
+        pr = optimize_primary(app1, system.lam, system.grid)
+        tables = _spy_on_expect(monkeypatch)
+        sr = optimize_secondary(app2, shared, pr, system.lam)
+        assert tables == [(200, 3)] * app2.k
+        assert sr.with_values.shape == (app2.k + 1, 200, 200) and sr.actions_with.shape == (app2.k - 1, 200, 200)
 
 
 def test_exact_ties_go_to_sharing(rng):
