@@ -10,24 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
-from cascadeshare import BudgetSpec, solve_lambda
-from cascadeshare.budget import _consumption
-from cascadeshare.dp import Grid
-from cascadeshare.robust import robustify_app
+from cascadeshare import BudgetSpec, solve_lambda, solve_system
 from cascadeshare.cli import load_config
 
 cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "gcw_twin.json"))
-rapp = robustify_app(cfg.primary)
-grid = Grid.uniform(cfg.grid_m)
+primary_only = replace(cfg, secondary=None, shared=None)
 
 print("expected primary consumption vs multiplier:")
 for lam in np.linspace(0.0, 0.02, 9):
-    e1, _ = _consumption(lam, rapp, grid, None, None)
+    e1 = solve_system(primary_only.at(lam=lam)).e1_mj
     print(f"  lambda={lam:.4f}: E1 = {e1:8.3f} mJ/frame")
 
 baseline = 3.6 * 0.032  # always-on microphone + preamp + ADC
-spec = BudgetSpec(budget_mj=49.398, baseline_mj=baseline, lambda_bracket=(0.0, 1.0))
-sol = solve_lambda(replace(cfg, lam=None, budget=spec))
+spec = BudgetSpec(budget_mj=49.398, lambda_bracket=(0.0, 1.0))
+sol = solve_lambda(replace(cfg, lam=None, budget=spec, baseline_mj=baseline))
 print(f"\nbudget {spec.budget_mj} mJ/frame (baseline {baseline:.4f} mJ):")
 print(f"  lambda* = {sol.lam:.6f}")
 print(f"  E1 = {sol.e1_mj:.3f} mJ, E2 = {sol.e2_mj:.3f} mJ, total = {sol.total_mj:.3f} mJ")
@@ -35,7 +31,7 @@ print(f"  slack = {sol.slack}")
 print("\n(the packaged config pins lambda = 0.0043, the reference operating point "
       "for roughly this budget)")
 
-generous = BudgetSpec(budget_mj=1e4, baseline_mj=baseline, lambda_bracket=(0.0, 1.0))
-sol2 = solve_lambda(replace(cfg, lam=None, budget=generous))
+generous = BudgetSpec(budget_mj=1e4, lambda_bracket=(0.0, 1.0))
+sol2 = solve_lambda(replace(cfg, lam=None, budget=generous, baseline_mj=baseline))
 print(f"a generous budget returns the unconstrained optimum: lambda = {sol2.lam}, "
       f"slack = {sol2.slack}")

@@ -48,10 +48,11 @@ from .dp import (
 from .budget import (
     BracketFailureError,
     BudgetSpec,
-    LambdaSolution,
+    Solved,
     cost_from_components,
     expected_resource,
     solve_lambda,
+    solve_system,
 )
 from .sim import (
     CascadeSystem,

@@ -11,23 +11,25 @@ budget's relative tolerance of it; else it narrows the bracket to 1e-12
 of its width and returns the smallest multiplier seen within budget,
 however far under the budget, without saying that it missed.
 
-`solve_system` is how every command and the twin experiment turn a system
-into policies: optimize both applications at the system's multiplier, or,
-when the system has a budget, keep the policies its search solved at the
-multiplier it returns.
+`Solved` is the one record of a solve: the system at its multiplier, both
+policies, and their consumption E1 + E2, read off the forward passes,
+which run once per record.  `solve_system` is how every command and the
+twin experiment turn a system into one: optimize both applications at the
+system's multiplier, or, when the system has a budget, keep the record its
+search made at the multiplier it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .models import AppConfig
 # robustify_app is imported only so that perfbench/spans.py can trace it under this module's name
 from .robust import robustify_app
 from .dp import (
-    Grid,
     PrimaryResult,
     SecondaryResult,
     forward_primary,
@@ -46,23 +48,21 @@ class BracketFailureError(ValueError):
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Energy budget in mJ per frame, with the policy-independent baseline.
+    """Energy budget in mJ per frame, the system's baseline included.
 
     The multiplier is searched in `lambda_bracket`; the search may stop once
     consumption is within budget and within `tolerance` (relative) of it.
+    The system that carries the budget checks that it exceeds its baseline.
     """
 
     budget_mj: float
-    baseline_mj: float = 0.0
     lambda_bracket: tuple[float, float] = (0.0, 1.0)
     tolerance: float = 1e-3
 
     def __post_init__(self):
         lo, hi = self.lambda_bracket
-        if not all(math.isfinite(v) for v in (self.budget_mj, self.baseline_mj, lo, hi, self.tolerance)):
-            raise ValueError("budget, baseline, bracket and tolerance must be finite")
-        if not self.budget_mj > self.baseline_mj >= 0.0:
-            raise ValueError("need budget_mj > baseline_mj >= 0")
+        if not all(math.isfinite(v) for v in (self.budget_mj, lo, hi, self.tolerance)):
+            raise ValueError("budget, bracket and tolerance must be finite")
         if not 0.0 <= lo < hi:
             raise ValueError("need 0 <= bracket lo < hi")
         if self.tolerance <= 0:
@@ -110,120 +110,22 @@ def expected_resource(
     return e1, e2, e1 + e2 + baseline_mj
 
 
-@dataclass(frozen=True)
-class LambdaSolution:
-    """The multiplier a budget search returned, its consumption, and the policies it solved there.
-
-    `primary` and `secondary` are the search's own solves at `lam`; a
-    solution built from a given multiplier leaves them None.  They are not
-    part of `to_json`.
-    """
-
-    lam: float
-    e1_mj: float
-    e2_mj: float
-    baseline_mj: float
-    total_mj: float
-    slack: bool
-    primary: Optional[PrimaryResult] = field(default=None, repr=False, compare=False)
-    secondary: Optional[SecondaryResult] = field(default=None, repr=False, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "E1_mJ": self.e1_mj,
-            "E2_mJ": self.e2_mj,
-            "baseline_mJ": self.baseline_mj,
-            "total_mJ": self.total_mj,
-            "slack": self.slack,
-        }
-
-
-def _consumption(lam: float, app: AppConfig, grid: Grid, app2, shared_stages, policies: Optional[list] = None):
-    """(E1, E2) of both applications optimized at `lam` on `grid`.
-
-    When `policies` is a list, the primary and secondary (or None) policies
-    solved at `lam` are appended to it.
-    """
-    pr = optimize_primary(app, lam, grid)
-    _, e1, _ = forward_primary(pr, app)
-    e2, sr = 0.0, None
-    if app2 is not None:
-        sr = optimize_secondary(app2, shared_stages, pr, lam)
-        _, e2, _ = forward_secondary(sr, app2, shared_stages, app.prior)
-    if policies is not None:
-        policies += [pr, sr]
-    return e1, e2
-
-
-def solve_lambda(system: CascadeSystem) -> LambdaSolution:
-    """Bisection on the multiplier until the system's consumption meets its budget.
-
-    Searches `system.budget` on the system's robustified models and its
-    grid, `system.grid`; raises ValueError when the system has
-    no budget.  Returns with the slack flag when the bracket's lower end
-    (normally 0) already satisfies the budget; raises BracketFailureError
-    when even the top of the bracket consumes too much.  Otherwise bisects
-    and returns the first midpoint whose consumption is within budget and
-    within `tolerance * target` of the target; when none is, the bracket is
-    narrowed to 1e-12 of its width and the smallest multiplier seen within
-    budget is returned, even if another multiplier meets the budget more
-    closely (see the module docstring).  The solution carries the policies
-    the search solved at the returned multiplier.
-
-    The stage models do not depend on the multiplier, and the system's grid
-    keeps each stage's belief-transition operator, so every solve of the
-    search, and any later one on the system, reuses those the first built.
-    """
-    spec = system.budget
-    if spec is None:
-        raise ValueError("the system has no budget to solve the multiplier from")
-    grid = system.grid
-    app, app2, shared = system.robustified
-    target = spec.budget_mj - spec.baseline_mj
-    lo, hi = spec.lambda_bracket
-
-    def solve_at(lam, slack=False):
-        policies = []
-        e1, e2 = _consumption(lam, app, grid, app2, shared, policies)
-        if e1 + e2 > target:
-            policies = []  # the search never returns this multiplier, so let its policies go now
-        return LambdaSolution(lam, e1, e2, spec.baseline_mj, e1 + e2 + spec.baseline_mj, slack, *policies)
-
-    at_lo = solve_at(lo, slack=True)
-    if at_lo.e1_mj + at_lo.e2_mj <= target:
-        return at_lo
-
-    best = solve_at(hi)
-    if best.e1_mj + best.e2_mj > target:
-        raise BracketFailureError(
-            f"consumption {best.e1_mj + best.e2_mj:.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
-        )
-
-    width0 = hi - lo
-    for _ in range(60):  # more halvings than a double has digits
-        if hi - lo <= 1e-12 * width0:
-            break
-        mid = 0.5 * (lo + hi)
-        at_mid = solve_at(mid)
-        used = at_mid.e1_mj + at_mid.e2_mj
-        if used > target:
-            lo = mid
-            continue
-        hi, best = mid, at_mid
-        if target - used <= spec.tolerance * target:
-            break
-    return best
-
-
 @dataclass
 class Solved:
-    """A system at its solved multiplier, and the policies the solve produced."""
+    """One solve: the system at its multiplier, both policies, and what they consume.
+
+    Every record `solve_system` returns holds the system at the multiplier
+    its policies were solved at (the steps inside a budget search hold the
+    budgeted system).  `secondary` is None for a primary-only system;
+    `slack` says a budget search returned the bottom of its bracket.  `forward` holds both
+    applications' forward passes, run once, on first read; the energies
+    and `to_json`, the record `budget.json` holds, are read off them.
+    """
 
     system: CascadeSystem
     primary: PrimaryResult
     secondary: Optional[SecondaryResult]
-    budget_solution: Optional[LambdaSolution]
+    slack: bool = False
 
     @property
     def lam(self) -> float:
@@ -241,13 +143,106 @@ class Solved:
     def shared(self) -> Optional[tuple]:
         return self.system.robustified[2]
 
+    @cached_property
+    def forward(self) -> tuple:
+        """(`forward_primary`'s result, `forward_secondary`'s result or None)."""
+        first = forward_primary(self.primary, self.app1)
+        if self.secondary is None:
+            return first, None
+        return first, forward_secondary(self.secondary, self.app2, self.shared, self.app1.prior)
+
+    @property
+    def e1_mj(self) -> float:
+        return self.forward[0][1]
+
+    @property
+    def e2_mj(self) -> float:
+        second = self.forward[1]
+        return 0.0 if second is None else second[1]
+
+    @property
+    def baseline_mj(self) -> float:
+        return self.system.baseline_mj
+
+    @property
+    def total_mj(self) -> float:
+        return self.e1_mj + self.e2_mj + self.baseline_mj
+
+    def to_json(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "E1_mJ": self.e1_mj,
+            "E2_mJ": self.e2_mj,
+            "baseline_mJ": self.baseline_mj,
+            "total_mJ": self.total_mj,
+            "slack": self.slack,
+        }
+
+
+def _solve_at(system: CascadeSystem, lam: float, slack: bool = False) -> Solved:
+    """Both applications optimized at multiplier `lam` on the system's planning models and grid."""
+    app1, app2, shared = system.robustified
+    pr = optimize_primary(app1, lam, system.grid)
+    sr = None if app2 is None else optimize_secondary(app2, shared, pr, lam)
+    return Solved(system, pr, sr, slack)
+
+
+def solve_lambda(system: CascadeSystem) -> Solved:
+    """Bisection on the multiplier until the system's consumption meets its budget.
+
+    Searches `system.budget` on the system's robustified models and its
+    grid, `system.grid`, against the target `budget_mj - system.baseline_mj`;
+    raises ValueError when the system has no budget.  Returns with the
+    slack flag when the bracket's lower end (normally 0) already satisfies
+    the budget; raises BracketFailureError when even the top of the
+    bracket consumes too much.  Otherwise bisects and returns the first
+    midpoint whose consumption is within budget and within
+    `tolerance * target` of the target; when none is, the bracket is
+    narrowed to 1e-12 of its width and the smallest multiplier seen within
+    budget is returned, even if another multiplier meets the budget more
+    closely (see the module docstring).  What it returns is the search's
+    own solve at that multiplier, forward passes included.
+
+    The stage models do not depend on the multiplier, and the system's grid
+    keeps each stage's belief-transition operator, so every solve of the
+    search, and any later one on the system, reuses those the first built.
+    """
+    spec = system.budget
+    if spec is None:
+        raise ValueError("the system has no budget to solve the multiplier from")
+    target = spec.budget_mj - system.baseline_mj
+    lo, hi = spec.lambda_bracket
+
+    def used(solved):
+        return solved.e1_mj + solved.e2_mj
+
+    best = _solve_at(system, lo, slack=True)
+    if used(best) > target:
+        best = _solve_at(system, hi)
+        if used(best) > target:
+            raise BracketFailureError(
+                f"consumption {used(best):.6g} mJ at lambda={hi} still exceeds target {target:.6g} mJ"
+            )
+        width0 = hi - lo
+        for _ in range(60):  # more halvings than a double has digits
+            if hi - lo <= 1e-12 * width0:
+                break
+            mid = 0.5 * (lo + hi)
+            at_mid = _solve_at(system, mid)
+            spent = used(at_mid)
+            if spent > target:
+                lo = mid
+                continue
+            hi, best = mid, at_mid
+            if target - spent <= spec.tolerance * target:
+                break
+    # the steps share the budgeted system; only the record returned is moved to its multiplier
+    best.system = system.at(lam=best.primary.lam)
+    return best
+
 
 def solve_system(system: CascadeSystem) -> Solved:
     """Optimize both applications at the system's multiplier, or take them from its budget search."""
     if system.lam is None:
-        solution = solve_lambda(system)
-        return Solved(system.at(lam=solution.lam), solution.primary, solution.secondary, solution)
-    app1, app2, shared = system.robustified
-    pr = optimize_primary(app1, system.lam, system.grid)
-    sr = None if app2 is None else optimize_secondary(app2, shared, pr, system.lam)
-    return Solved(system, pr, sr, None)
+        return solve_lambda(system)
+    return _solve_at(system, system.lam)

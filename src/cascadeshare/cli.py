@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import AppConfig, estimate_pmf, pmf_from_json, pmf_to_json
-# robustify_app, optimize_primary, optimize_secondary and solve_lambda are imported only so
+# robustify_app, optimize_*, forward_*, expected_resource and solve_lambda are imported only so
 # that perfbench/spans.py can trace them under this module's name
 from .robust import (
     DegenerateUncertaintyError,
@@ -40,8 +40,8 @@ from .dp import (
     optimize_primary,
     optimize_secondary,
 )
-from .budget import (BracketFailureError, BudgetSpec, LambdaSolution, Solved, cost_from_components,
-                     expected_resource, solve_lambda, solve_system)
+from .budget import (BracketFailureError, BudgetSpec, Solved, cost_from_components, expected_resource,
+                     solve_lambda, solve_system)
 from .sim import (
     CascadeSystem,
     EnumerationCapError,
@@ -90,7 +90,6 @@ def _system_from_doc(doc: dict) -> CascadeSystem:
         b = doc["budget"]
         budget = BudgetSpec(
             budget_mj=float(b["budget_mJ"]),
-            baseline_mj=float(b.get("baseline_mJ", 0.0)),
             lambda_bracket=tuple(b.get("lambda_bracket", (0.0, 1.0))),
             tolerance=float(b.get("tolerance", 1e-3)),
         )
@@ -100,7 +99,7 @@ def _system_from_doc(doc: dict) -> CascadeSystem:
         if "shared" in doc["secondary"]:
             shared = tuple(_stage_from_doc(s) for s in doc["secondary"]["shared"])
     if budget is not None:
-        baseline = budget.baseline_mj
+        baseline = float(doc["budget"].get("baseline_mJ", 0.0))  # a budget block sets the one baseline
     elif "baseline_mW" in doc:
         baseline = float(doc["baseline_mW"]) * float(doc.get("frame_ms", 32.0)) / 1000.0
     else:
@@ -151,7 +150,7 @@ def _run_config(args) -> CascadeSystem:
     if system.budget is not None:
         spec = replace(system.budget, budget_mj=float(args.budget_mj))
     else:
-        spec = BudgetSpec(budget_mj=float(args.budget_mj), baseline_mj=system.baseline_mj)
+        spec = BudgetSpec(budget_mj=float(args.budget_mj))
     return replace(system, lam=None, budget=spec)
 
 
@@ -269,16 +268,7 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
                        [pi2, _csv_fields(sr.solo.values[i])])
             _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
                        [pi2_col, pi1_col, _csv_fields(sr.with_values[i].ravel())])
-
-    # a budget solve already priced its multiplier; a given multiplier is priced here
-    solution = solved.budget_solution
-    if solution is None:
-        baseline = solved.system.baseline_mj
-        e1, e2, total = expected_resource(
-            solved.primary, solved.app1, solved.secondary, solved.app2, solved.shared, baseline_mj=baseline,
-        )
-        solution = LambdaSolution(solved.lam, e1, e2, baseline, total, False)
-    _write_json(out_dir / "budget.json", solution.to_json())
+    _write_json(out_dir / "budget.json", solved.to_json())
 
 
 def _cmd_optimize(args) -> int:
@@ -383,15 +373,15 @@ def _cmd_sweep(args) -> int:
     rows = []
     for p in _priors(args, system):
         solved = solve_system(system.at(prior=p))
-        b1, e1, _ = forward_primary(solved.primary, solved.app1)
+        (b1, e1, _), second = solved.forward
         row = {
             "prior": p, "lambda": solved.lam,
             "miss1": b1.miss, "fa1": b1.false_alarm,
             "resource1_weighted": b1.weighted_resource, "risk1": b1.total,
             "E1_mJ": e1,
         }
-        if solved.secondary is not None:
-            b2, e2, _ = forward_secondary(solved.secondary, solved.app2, solved.shared, solved.app1.prior)
+        if second is not None:
+            b2, e2, _ = second
             row.update(
                 detection2=b2.detection, resource2_weighted=b2.weighted_resource,
                 risk2=b2.total, E2_mJ=e2,

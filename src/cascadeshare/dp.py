@@ -71,6 +71,17 @@ class Grid:
         pts = np.unique(np.concatenate([[0.0, 1.0], np.asarray(points, float).ravel()]))
         return cls(pts)
 
+    def bracket(self, pi):
+        """The grid cell that holds belief `pi`, a number or an array.
+
+        Returns the index j of the cell's lower point, clipped to [0, M - 2],
+        and pi's linear-interpolation weight on the upper point j + 1.  That
+        index is the count of interior points at or below pi.
+        """
+        g = self.points
+        j = np.searchsorted(g[1:-1], pi, side="right")
+        return j, (pi - g[j]) / (g[j + 1] - g[j])
+
     def transition(self, model: ConditionalPmf) -> "_Transition":
         """`model`'s belief transition on this grid: built on first use, the same object from then on.
 
@@ -125,9 +136,7 @@ class _Transition:
         g = grid.points
         m = grid.m
         evidence = g[:, None] * model.p1[support][None, :] + (1.0 - g)[:, None] * model.p0[support][None, :]
-        pi_next = posterior_update_array(g[:, None], ratios[None, :])
-        idx = np.clip(np.searchsorted(g, pi_next, side="right") - 1, 0, m - 2)
-        w_hi = (pi_next - g[idx]) / (g[idx + 1] - g[idx])
+        idx, w_hi = grid.bracket(posterior_update_array(g[:, None], ratios[None, :]))
         flat = (idx + m * np.arange(m)[:, None]).ravel()
         cells = np.concatenate([flat, flat + 1])
         weights = np.concatenate([(evidence * (1.0 - w_hi)).ravel(), (evidence * w_hi).ravel()])
@@ -287,10 +296,7 @@ class SecondaryResult:
         return _first_continue(self.grid2, self.actions_with != STOP)
 
     def value_at(self, pi2: Belief, pi1: Belief) -> float:
-        b1 = self.grid1.points
-        j = min(int(np.searchsorted(b1, pi1, side="right")) - 1, self.grid1.m - 2)
-        j = max(j, 0)
-        t = (pi1 - b1[j]) / (b1[j + 1] - b1[j])
+        j, t = self.grid1.bracket(pi1)
         v0 = np.interp(pi2, self.grid2.points, self.with_values[0][:, j])
         v1 = np.interp(pi2, self.grid2.points, self.with_values[0][:, j + 1])
         return float((1.0 - t) * v0 + t * v1)
@@ -444,8 +450,7 @@ def forward_primary(result: PrimaryResult, app: AppConfig):
     cm, ca = app.miss_cost, app.fa_cost
 
     mass = np.zeros(grid.m)
-    idx = min(np.searchsorted(b, app.prior, side="right") - 1, grid.m - 2)
-    w = (app.prior - b[idx]) / (b[idx + 1] - b[idx])
+    idx, w = grid.bracket(app.prior)
     mass[idx] += 1.0 - w
     mass[idx + 1] += w
 
@@ -485,15 +490,13 @@ def forward_secondary(result: SecondaryResult, app2: AppConfig, shared_stages, p
     feature.
     """
     g2, g1 = result.grid2, result.grid1
-    b2, b1 = g2.points, g1.points
+    b2 = g2.points
     k = result.k
     cm, ca = app2.miss_cost, app2.fa_cost
     lam = result.lam
 
-    i2 = min(np.searchsorted(b2, app2.prior, side="right") - 1, g2.m - 2)
-    w2 = (app2.prior - b2[i2]) / (b2[i2 + 1] - b2[i2])
-    j1 = min(np.searchsorted(b1, prior1, side="right") - 1, g1.m - 2)
-    w1 = (prior1 - b1[j1]) / (b1[j1 + 1] - b1[j1])
+    i2, w2 = g2.bracket(app2.prior)
+    j1, w1 = g1.bracket(prior1)
     cols = [j1, j1 + 1]
     col_weights = np.array([1.0 - w1, w1])
     mass = np.zeros((g2.m, 2))

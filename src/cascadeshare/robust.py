@@ -12,7 +12,9 @@ over the support sorted by nominal ratio, and then applies the transform.
 
 With eps0 == eps1 the transformed ratio lies exactly in [l_lo, l_hi]; for
 asymmetric eps the ratio is the clipped nominal ratio scaled by
-(1-eps1)/(1-eps0), which is what the branch algebra produces.
+(1-eps1)/(1-eps0), which is what the branch algebra produces.  Every
+uncertainty, one-sided or zero included, goes through the same two
+equations, so the window is continuous in the four parameters.
 """
 
 from __future__ import annotations
@@ -124,6 +126,14 @@ def _lfd_pair(p0, p1, ratios, u: UncertaintyParams, l_lo: float, l_hi: float):
         denom = cross_hi + mix_hi * l_hi
         q0[high] = (1.0 - u.eps0) * blend / denom
         q1[high] = (1.0 - u.eps1) * l_hi * blend / denom
+    # a window end on ratio 0 (+inf) with mix_lo (mix_hi) == 0 and strength nu0 (nu1) > 0 is the limit
+    # of clipping the bins that only target absence (presence) emits: the strength removes its mass there
+    if mix_lo == 0.0 < cross_lo and l_lo == ratios.min() == 0.0:
+        edge = ratios == 0.0
+        q0[edge] *= 1.0 - cross_lo / p0[edge].sum()
+    if mix_hi == 0.0 < cross_hi and l_hi == ratios.max() == math.inf:
+        edge = ratios == math.inf
+        q1[edge] *= 1.0 - cross_hi / p1[edge].sum()
     return q0, q1
 
 
@@ -164,11 +174,15 @@ def solve_breakpoints(nominal: ConditionalPmf, u: UncertaintyParams) -> Breakpoi
     normalizations; for eps0 == eps1 == 0, where the normalizations admit a
     family of windows, they pick the limit of the eps -> 0 windows.
 
-    When one hypothesis is untouched by the transform (eps1 == nu1 == 0, or
-    eps0 == nu0 == 0) its clip set is kept empty and the other endpoint
-    solves the remaining normalization alone; zero uncertainty thus returns
-    the nominal ratio range.  Raises DegenerateUncertaintyError when an
-    equation has no root or the two endpoints cross.
+    One-sided uncertainty (eps1 == nu1 == 0, or eps0 == nu0 == 0) takes the
+    same two equations, so its window is the limit of the windows as the
+    other side's contamination goes to 0: no special case makes the
+    solution jump there.  Where that limit clips bins that only one
+    hypothesis emits (ratio 0 or +inf), the window end sits on that ratio
+    and `robustify` takes the strength contamination's mass from those
+    bins, as the limit pair does.  Zero uncertainty returns the nominal
+    ratio range.  Raises DegenerateUncertaintyError when an equation has no
+    root or the two endpoints cross.
     """
     support = nominal.support()
     ratios = likelihood_ratios(nominal)[support]
@@ -187,18 +201,12 @@ def solve_breakpoints(nominal: ConditionalPmf, u: UncertaintyParams) -> Breakpoi
     edges = np.concatenate(([0.0], g, [math.inf]))
 
     mix_lo, cross_lo, mix_hi, cross_hi = _transform_coeffs(u)
-    if mix_lo == 0.0:
-        # q1 untouched: empty low set, q0 alone pins l_hi
-        a, b, c, d = 0.0, 0.0, 0.0, mix_hi - cross_lo
-    elif mix_hi == 0.0:
-        # q0 untouched: empty high set, q1 alone pins l_lo
-        a, b, c, d = mix_lo - cross_hi, 0.0, 0.0, 0.0
-    else:
-        a, b, c, d = mix_lo, cross_lo, cross_hi, mix_hi
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_lo = g[0] if a == b == 0.0 else _segment_root((a + left1) / (left0 - b), edges, left0 > b)
-        l_hi = g[-1] if c == d == 0.0 else _segment_root((right1 - c) / (right0 + d), edges, right0 + d > 0.0)
+        l_lo = g[0] if mix_lo == cross_lo == 0.0 else _segment_root(
+            (mix_lo + left1) / (left0 - cross_lo), edges, left0 > cross_lo)
+        # the root is +inf where the high set holds only bins with p0 = 0 and mix_hi == 0
+        l_hi = g[-1] if mix_hi == cross_hi == 0.0 else _segment_root(
+            (right1 - cross_hi) / (right0 + mix_hi), edges, (right0 + mix_hi > 0.0) | (right1 > cross_hi))
     if l_lo is None or l_hi is None:
         raise DegenerateUncertaintyError("degenerate uncertainty: no ratio window normalizes the pair")
     if l_lo > l_hi:

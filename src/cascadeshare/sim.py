@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import AppConfig, ConditionalPmf, likelihood_ratios, posterior_update_array
-# robustify_app and optimize_secondary are imported only so that perfbench/spans.py can trace
+# robustify_app, optimize_secondary and forward_* are imported only so that perfbench/spans.py can trace
 # them under this module's name
 from .robust import StageModel, robustify_app, robustify_system
 from .dp import (
@@ -53,8 +53,9 @@ class CascadeSystem:
 
     It holds the nominal models, the coupling, and the run settings: exactly
     one of the multiplier `lam` and an energy `budget` to solve it from,
-    the always-on `baseline_mj`, the belief grid size, the Monte Carlo seed
-    and trial count, and a prior sweep.  Twin coupling forces the secondary
+    the always-on `baseline_mj` (the one baseline: a budget must exceed it),
+    the belief grid size, the Monte Carlo seed and trial count, and a prior
+    sweep.  Twin coupling forces the secondary
     target to equal the primary target and requires the shared-feature
     models to match the primary's own.
 
@@ -84,6 +85,8 @@ class CascadeSystem:
             object.__setattr__(self, "lam", float(self.lam))
         if not 0.0 <= self.baseline_mj < math.inf:
             raise ValueError(f"baseline must be finite and nonnegative, got {self.baseline_mj!r} mJ")
+        if self.budget is not None and not self.budget.budget_mj > self.baseline_mj:
+            raise ValueError(f"need budget_mj > baseline_mj, got {self.budget.budget_mj!r} <= {self.baseline_mj!r}")
         for name, least in (("grid_m", 2), ("seed", 0), ("trials", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -716,9 +719,7 @@ def twin_experiment(system: CascadeSystem, priors: Sequence[float], trials: int 
     rows = []
     for p in priors:
         solved = solve_system(twin.at(prior=p))
-        pr, sr, app = solved.primary, solved.secondary, solved.app1
-        b1, en1, _ = forward_primary(pr, app)
-        b2, en2, _ = forward_secondary(sr, solved.app2, solved.shared, app.prior)
+        (b1, en1, _), (b2, en2, _) = solved.forward
         b2a = b1  # without the shared feature the secondary is the primary's exact twin
 
         row = dict(
@@ -738,7 +739,7 @@ def twin_experiment(system: CascadeSystem, priors: Sequence[float], trials: int 
             resource2_weighted=b2.weighted_resource,
         )
         if trials > 0:
-            rep = simulate(solved.system, pr, sr, n_trials=trials, seed=seed)
+            rep = simulate(solved.system, solved.primary, solved.secondary, n_trials=trials, seed=seed)
             row.update(
                 sim_risk1=rep.primary.risk_mean,
                 sim_risk1_stderr=rep.primary.risk_stderr,

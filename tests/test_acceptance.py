@@ -36,7 +36,7 @@ from cascadeshare.dp import (
     optimize_primary,
     optimize_secondary,
 )
-from cascadeshare.budget import BudgetSpec, _consumption, cost_from_components, solve_lambda
+from cascadeshare.budget import BudgetSpec, cost_from_components, solve_lambda, solve_system
 from cascadeshare.sim import (
     CascadeSystem,
     EnumerationCapError,
@@ -328,25 +328,27 @@ class TestCriterion8BudgetSolving:
         rng = np.random.default_rng(1008)
         stages = tuple(StageModel(nominal=random_pmf(rng, 6), cost_mj=c) for c in (1.0, 5.0, 20.0))
         app = AppConfig(prior=0.2, miss_cost=2.0, fa_cost=1.0, stages=stages)
-        rapp = robustify_app(app)
         grid = Grid.uniform(101)
+        priced = CascadeSystem(app, 0.0, grid_m=grid.m)
+
+        def consumption(lam):
+            solved = solve_system(priced.at(lam=lam))
+            return solved.e1_mj + solved.e2_mj
 
         # slack flag when the unconstrained optimum fits
-        sol = solve_lambda(CascadeSystem(app, None, budget=BudgetSpec(budget_mj=1e6, baseline_mj=0.5),
+        sol = solve_lambda(CascadeSystem(app, None, budget=BudgetSpec(budget_mj=1e6), baseline_mj=0.5,
                                           grid_m=grid.m))
         assert sol.slack and sol.lam == 0.0
 
         # achievable targets matched within relative tolerance
         for lam0 in (0.01, 0.03, 0.08):
-            e_ref, _ = _consumption(lam0, rapp, grid, None, None)
-            spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
-            sol = solve_lambda(CascadeSystem(app, None, budget=spec, grid_m=grid.m))
-            target = spec.budget_mj - spec.baseline_mj
+            spec = BudgetSpec(budget_mj=consumption(lam0) + 0.5, lambda_bracket=(0.0, 5.0))
+            sol = solve_lambda(CascadeSystem(app, None, budget=spec, baseline_mj=0.5, grid_m=grid.m))
+            target = spec.budget_mj - sol.baseline_mj
             assert sol.e1_mj <= target + 1e-12
             assert abs(sol.e1_mj - target) / target <= 1e-3
 
-        values = [sum(_consumption(l, rapp, grid, None, None))
-                  for l in np.linspace(0.0, 0.3, 20)]
+        values = [consumption(l) for l in np.linspace(0.0, 0.3, 20)]
         assert all(values[i + 1] <= values[i] + 1e-12 for i in range(19))
         _report("criterion 8 (budget solving)",
                 "slack flag, 3 achievable targets at 1e-3, 20-point sweep non-increasing")

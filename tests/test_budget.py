@@ -21,8 +21,14 @@ from conftest import assert_bitwise_equal, random_app, random_pmf
 
 
 def _budgeted(app, spec, grid):
-    """The primary-only system that solves `spec` on `grid`, a uniform grid."""
-    return CascadeSystem(app, None, budget=spec, grid_m=grid.m)
+    """The primary-only system that solves `spec` on `grid`, a uniform grid, over a 0.5 mJ baseline."""
+    return CascadeSystem(app, None, budget=spec, baseline_mj=0.5, grid_m=grid.m)
+
+
+def _energies(system, lam):
+    """(E1, E2) of both applications of `system` optimized at `lam`."""
+    solved = solve_system(system.at(lam=lam))
+    return solved.e1_mj, solved.e2_mj
 
 
 class TestHardwareArithmetic:
@@ -101,34 +107,33 @@ class TestSolveLambda:
 
     def test_slack_when_budget_generous(self, rng):
         app = self._app(rng)
-        spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.5, lambda_bracket=(0.0, 2.0))
+        spec = BudgetSpec(budget_mj=1e6, lambda_bracket=(0.0, 2.0))
         sol = solve_lambda(_budgeted(app, spec, Grid.uniform(101)))
         assert sol.slack
         assert sol.lam == 0.0
 
     def test_bracket_failure_when_budget_unreachable(self, rng):
         app = self._app(rng)
-        spec = BudgetSpec(budget_mj=0.6, baseline_mj=0.5, lambda_bracket=(0.0, 1e-9))
+        spec = BudgetSpec(budget_mj=0.6, lambda_bracket=(0.0, 1e-9))
         with pytest.raises(BracketFailureError):
             solve_lambda(_budgeted(app, spec, Grid.uniform(101)))
 
     def test_achievable_target_met_within_tolerance(self, rng):
         """Budgets placed on the achievable consumption curve are matched."""
-        from cascadeshare.budget import _consumption
-
         app = self._app(rng)
-        rapp = robustify_app(app)
         grid = Grid.uniform(101)
+        probe = _budgeted(app, BudgetSpec(budget_mj=1e6), grid)
         for lam0 in (0.02, 0.05):
-            e_ref, _ = _consumption(lam0, rapp, grid, None, None)
-            spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
-            sol = solve_lambda(_budgeted(app, spec, grid))
+            e_ref, _ = _energies(probe, lam0)
+            spec = BudgetSpec(budget_mj=e_ref + 0.5, lambda_bracket=(0.0, 5.0))
+            system = _budgeted(app, spec, grid)
+            sol = solve_lambda(system)
             assert not sol.slack
-            target = spec.budget_mj - spec.baseline_mj
+            target = spec.budget_mj - system.baseline_mj
             assert sol.e1_mj <= target + 1e-12
             assert abs(sol.e1_mj - target) / target <= spec.tolerance
             # smallest multiplier on the step: nothing cheaper fits the budget
-            cheaper, _ = _consumption(sol.lam * 0.98, rapp, grid, None, None)
+            cheaper, _ = _energies(system, sol.lam * 0.98)
             assert cheaper >= sol.e1_mj - 1e-12
 
     def test_search_stops_at_the_first_midpoint_within_tolerance(self, rng, monkeypatch):
@@ -136,86 +141,84 @@ class TestSolveLambda:
         from cascadeshare import budget
 
         app = self._app(rng)
-        rapp = robustify_app(app)
         grid = Grid.uniform(101)
-        e_ref, _ = budget._consumption(0.05, rapp, grid, None, None)
-        spec = BudgetSpec(budget_mj=e_ref + 0.5, baseline_mj=0.5, lambda_bracket=(0.0, 5.0), tolerance=1.0)
-        target = spec.budget_mj - spec.baseline_mj
+        e_ref, _ = _energies(_budgeted(app, BudgetSpec(budget_mj=1e6), grid), 0.05)
+        spec = BudgetSpec(budget_mj=e_ref + 0.5, lambda_bracket=(0.0, 5.0), tolerance=1.0)
+        system = _budgeted(app, spec, grid)
+        target = spec.budget_mj - system.baseline_mj
 
         lo, hi = spec.lambda_bracket
         midpoints = 0
         while True:
             mid = 0.5 * (lo + hi)
             midpoints += 1
-            if budget._consumption(mid, rapp, grid, None, None)[0] <= target:
+            if _energies(system, mid)[0] <= target:
                 break
             lo = mid
 
         calls = []
-        original = budget._consumption
-        monkeypatch.setattr(budget, "_consumption", lambda *a, **kw: calls.append(a[0]) or original(*a, **kw))
-        sol = solve_lambda(_budgeted(app, spec, grid))
+        original = budget._solve_at
+        monkeypatch.setattr(budget, "_solve_at", lambda *a, **kw: calls.append(a[1]) or original(*a, **kw))
+        sol = solve_lambda(system)
         assert sol.lam == mid and not sol.slack
         assert sol.e1_mj <= target
         assert len(calls) == 2 + midpoints < 10
 
     def test_reused_operators_give_the_same_consumption(self, rng):
         """A grid that already holds its operators prices exactly like a fresh one."""
-        from cascadeshare.budget import _consumption
+        app = self._app(rng)
 
-        app = robustify_app(self._app(rng))
-        grid = Grid.uniform(61)
-        _consumption(0.1, app, grid, app, app.stages)
+        def twin():
+            return CascadeSystem(app, 0.1, secondary=app, shared=app.stages, grid_m=61)
+
+        system = twin()
+        _energies(system, 0.1)
         for lam in (0.0, 0.03, 0.2):
-            assert _consumption(lam, app, grid, app, app.stages) == _consumption(
-                lam, app, Grid.uniform(61), app, app.stages)
+            assert _energies(system, lam) == _energies(twin(), lam)
 
     def test_consumption_nonincreasing_in_multiplier(self, rng):
-        app = self._app(rng)
-        rapp = robustify_app(app)
-        grid = Grid.uniform(101)
-        from cascadeshare.budget import _consumption
-
-        values = [sum(_consumption(l, rapp, grid, None, None)) for l in np.linspace(0.0, 0.3, 20)]
+        system = CascadeSystem(self._app(rng), 0.0, grid_m=101)
+        values = [sum(_energies(system, l)) for l in np.linspace(0.0, 0.3, 20)]
         assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
     def test_json_shape(self, rng):
         app = self._app(rng)
-        spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.5)
+        spec = BudgetSpec(budget_mj=1e6)
         doc = solve_lambda(_budgeted(app, spec, Grid.uniform(51))).to_json()
         assert set(doc) == {"lambda", "E1_mJ", "E2_mJ", "baseline_mJ", "total_mJ", "slack"}
 
 
 class TestSolveSystem:
-    """A budget solve keeps the policies its search solved at the returned multiplier."""
+    """A budget solve returns the record its search made at the returned multiplier."""
 
     def test_search_policies_equal_a_fresh_solve_at_the_multiplier(self, rng):
-        from cascadeshare.budget import _consumption
-
         for twin in (False, True):
             for _ in range(3):
                 app = random_app(rng, k=3, bins=4)
-                rapp = robustify_app(app)
                 grid = Grid.uniform(int(rng.integers(20, 80)))
-                app2, shared = (rapp, rapp.stages) if twin else (None, None)
-                e1, e2 = _consumption(float(rng.uniform(0.01, 0.2)), rapp, grid, app2, shared)
+
+                def budgeted(spec):
+                    if twin:
+                        return CascadeSystem(app, None, secondary=app, shared=app.stages, coupling="twin",
+                                             budget=spec, baseline_mj=0.5, grid_m=grid.m)
+                    return _budgeted(app, spec, grid)
+
+                e1, e2 = _energies(budgeted(BudgetSpec(budget_mj=1e6)), float(rng.uniform(0.01, 0.2)))
                 for budget_mj in (e1 + e2 + 0.5, 1e6):  # a bisection, and the bracket's slack end
-                    spec = BudgetSpec(budget_mj=budget_mj, baseline_mj=0.5, lambda_bracket=(0.0, 5.0))
-                    system = (CascadeSystem(app, None, secondary=app, shared=app.stages, coupling="twin",
-                                            budget=spec, grid_m=grid.m) if twin
-                              else _budgeted(app, spec, grid))
+                    system = budgeted(BudgetSpec(budget_mj=budget_mj, lambda_bracket=(0.0, 5.0)))
                     solved = solve_system(system)
                     fresh = solve_system(system.at(lam=solved.lam))
-                    assert solved.budget_solution.primary is solved.primary
+                    assert solved.system.lam == solved.lam and solved.system.budget is None
+                    assert (solved.e1_mj, solved.e2_mj, solved.total_mj) == (fresh.e1_mj, fresh.e2_mj, fresh.total_mj)
                     assert_bitwise_equal(solved.primary, fresh.primary)
                     assert_bitwise_equal(solved.secondary, fresh.secondary)
                     assert (solved.secondary is None) is not twin
 
 
 class TestBudgetSpecValidation:
-    def test_rejects_budget_below_baseline(self):
-        with pytest.raises(ValueError):
-            BudgetSpec(budget_mj=0.1, baseline_mj=0.2)
+    def test_rejects_budget_below_baseline(self, rng):
+        with pytest.raises(ValueError, match="budget_mj > baseline_mj"):
+            CascadeSystem(random_app(rng, k=2, bins=3), None, baseline_mj=0.2, budget=BudgetSpec(budget_mj=0.1))
 
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):

@@ -277,12 +277,12 @@ class TestBudgetOverride:
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
 
         cfg = load_config(str(CONFIG))
-        spec = BudgetSpec(budget_mj=self.BUDGET_MJ, baseline_mj=cfg.baseline_mj)
+        spec = BudgetSpec(budget_mj=self.BUDGET_MJ)
         expected = []
         for p in priors:
             app = replace(cfg.primary, prior=p)
             sol = solve_lambda(CascadeSystem(app, None, secondary=app, shared=cfg.primary.stages,
-                                             budget=spec, grid_m=cfg.grid_m))
+                                             budget=spec, baseline_mj=cfg.baseline_mj, grid_m=cfg.grid_m))
             expected.append(sol.lam)
         assert [r["lam"] for r in rows] == expected
         assert expected[0] != expected[1]
@@ -296,7 +296,7 @@ class TestBudgetOverride:
         monkeypatch.setattr(budget, "solve_lambda", lambda system: calls.append(system) or original(system))
         solved = cli.solve_system(cli.load_config(str(config)))
         assert len(calls) == 1
-        assert solved.budget_solution.lam == solved.lam
+        assert solved.to_json()["lambda"] == solved.lam == solved.system.lam
 
     def test_budget_json_is_the_search_record(self, capsys, tmp_path):
         from dataclasses import replace
@@ -308,7 +308,7 @@ class TestBudgetOverride:
                          "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         cfg = cli.load_config(str(CONFIG))
-        system = replace(cfg, lam=None, budget=BudgetSpec(budget_mj=self.BUDGET_MJ, baseline_mj=cfg.baseline_mj))
+        system = replace(cfg, lam=None, budget=BudgetSpec(budget_mj=self.BUDGET_MJ))
         assert json.loads((tmp_path / "budget.json").read_text()) == solve_lambda(system).to_json()
 
     def test_lambda_and_budget_override_together_rejected(self, tmp_path):
@@ -398,6 +398,44 @@ class TestOperatorsOnce:
         capsys.readouterr()
         assert len(asked) == models
         assert len(built) == self.DISTINCT_PMF_PAIRS
+
+
+class TestForwardPassOncePerPricedPolicy:
+    """Each application's forward pass runs once per policy that a command prices, and never where
+    nothing is priced: `budget.json`, every step of a budget search, and each `twin` or `sweep` row."""
+
+    COUNTED = ("optimize_primary", "optimize_secondary", "forward_primary", "forward_secondary")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("optimize", ()),
+        ("optimize", ("--budget-mJ", "45")),
+        ("check", ()),
+        ("simulate", ("--trials", "100")),
+        ("twin", ("--budget-mJ", "50")),
+        ("sweep", ("--budget-mJ", "50")),
+    ])
+    def test_per_command(self, monkeypatch, capsys, tmp_path, command, extra):
+        from cascadeshare import budget, cli, sim
+
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        # every name a command can reach these functions through
+        for module in (budget, cli, sim):
+            for name in self.COUNTED:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert cli.main([command, "--config", str(CONFIG), *extra, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        solves = calls["optimize_primary"]
+        assert calls["optimize_secondary"] == solves
+        priced = 0 if command in ("check", "simulate") else solves
+        assert (calls["forward_primary"], calls["forward_secondary"]) == (priced, priced)
+        assert solves > 1 if "--budget-mJ" in extra else solves == 1
 
 
 def _reference_csv(path, header, rows):

@@ -456,6 +456,28 @@ def _random_grids(rng):
     yield exact_grid_secondary(app, app.stages)
 
 
+class TestGridBracket:
+    """`Grid.bracket`: the cell that holds a belief, and the belief's weight on its upper point."""
+
+    def test_cell_and_weight(self, rng):
+        for _ in range(10):
+            for grid in _random_grids(rng):
+                g = grid.points
+                pi = np.concatenate([g, rng.random(40)])
+                j, w = grid.bracket(pi)
+                assert j.min() >= 0 and j.max() <= grid.m - 2
+                assert np.all(g[j] <= pi) and np.all(pi <= g[j + 1])
+                assert np.all((0.0 <= w) & (w <= 1.0))
+                np.testing.assert_allclose((1.0 - w) * g[j] + w * g[j + 1], pi, rtol=0, atol=1e-15)
+                # on a grid point the weight is all on it, except at 1, the last cell's upper end
+                assert np.all(w[: grid.m - 1] == 0.0) and w[grid.m - 1] == 1.0
+                # a number is bracketed as the same entry of an array
+                for x in pi[::7]:
+                    jx, wx = grid.bracket(float(x))
+                    k = int(np.flatnonzero(pi == x)[0])
+                    assert (jx, wx) == (j[k], w[k])
+
+
 class TestTransitionOperator:
     """The M x M operator against the loop kernels it replaced."""
 

@@ -211,6 +211,33 @@ def assert_matches_bisection(model, u):
     return exact
 
 
+def assert_one_sided_is_the_small_eps_limit(model, **sides):
+    """The window of a one-sided class, `sides` given and the other two parameters 0.
+
+    Its least-favorable pair equals the pair with the other side's
+    contamination at 1e-12 to 1e-9, and so does the window, unless the
+    window's end sits on a ratio of 0 or +inf, which the small-eps windows
+    only approach.  At 1e-3 the exact solve still matches the bisection.
+    Returns the one-sided window.
+    """
+    u = UncertaintyParams(**sides)
+    other = ("eps1", "nu1") if u.eps0 or u.nu0 else ("eps0", "nu0")
+    b = solve_breakpoints(model, u)
+    tiny = solve_breakpoints(model, replace(u, **dict.fromkeys(other, 1e-12)))
+    for got, near in ((b.l_lo, tiny.l_lo), (b.l_hi, tiny.l_hi)):
+        if got == math.inf:
+            assert near > 1e6
+        elif got == 0.0:
+            assert near < 1e-6
+        else:
+            assert got == pytest.approx(near, rel=1e-9)
+    pair, near_pair = robustify(model, u, b), robustify(model, replace(u, **dict.fromkeys(other, 1e-12)), tiny)
+    np.testing.assert_allclose(pair.p0, near_pair.p0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(pair.p1, near_pair.p1, rtol=0, atol=1e-9)
+    assert_matches_bisection(model, replace(u, **dict.fromkeys(other, 1e-3)))
+    return b
+
+
 class TestZeroUncertainty:
     def test_breakpoints_are_ratio_range(self, rng):
         m = random_pmf(rng, 5)
@@ -452,18 +479,22 @@ class TestBisectionOracle:
         assert solved > 100 and refused > 10
 
     def test_target_present_uncontaminated(self, rng):
-        # eps1 = nu1 = 0: q1 is untouched, the low clip set stays empty
+        """eps1 == nu1 == 0: the window is the limit of the eps1 -> 0 windows, with no jump at 0."""
         for bins in (2, 4, 7):
             m = random_pmf(rng, bins)
-            b = assert_matches_bisection(m, UncertaintyParams(eps0=0.05, nu0=0.03))
-            assert b.l_lo == float(np.min(likelihood_ratios(m)))
+            assert_one_sided_is_the_small_eps_limit(m, eps0=0.05, nu0=0.03)
 
     def test_target_absent_uncontaminated(self, rng):
-        # eps0 = nu0 = 0: q0 is untouched, the high clip set stays empty
+        """eps0 == nu0 == 0: the window is the limit of the eps0 -> 0 windows, with no jump at 0."""
         for bins in (2, 4, 7):
             m = random_pmf(rng, bins)
-            b = assert_matches_bisection(m, UncertaintyParams(eps1=0.05, nu1=0.03))
-            assert b.l_hi == float(np.max(likelihood_ratios(m)))
+            assert_one_sided_is_the_small_eps_limit(m, eps1=0.05, nu1=0.03)
+
+    def test_one_sided_window_does_not_jump_at_zero(self):
+        """The example where keeping the uncontaminated side's clip set empty gave l_hi 4.586, not 3.800."""
+        m = ConditionalPmf(p0=[0.7, 0.2, 0.1], p1=[0.1, 0.2, 0.7])
+        b = assert_one_sided_is_the_small_eps_limit(m, eps0=0.05, nu0=0.03)
+        assert b.l_hi == pytest.approx(3.8, rel=1e-12)
 
     def test_pure_strength_contamination_is_the_small_eps_limit(self, rng):
         """eps0 == eps1 == 0: the normalizations admit a family of windows.
@@ -489,11 +520,13 @@ class TestBisectionOracle:
         m = ConditionalPmf(p0=[0.5, 0.3, 0.2, 0.0], p1=[0.1, 0.2, 0.3, 0.4])
         b = assert_matches_bisection(m, UncertaintyParams(0.05, 0.05, 0.02, 0.02))
         assert math.isfinite(b.l_hi)
-        # eps0 = eps1 = nu1 = 0: the window stays open above
-        b = assert_matches_bisection(m, UncertaintyParams(nu0=0.05))
+        # one-sided: the limit of the small-eps windows
+        b = assert_one_sided_is_the_small_eps_limit(m, nu0=0.05)
+        assert math.isfinite(b.l_hi)
+        assert_one_sided_is_the_small_eps_limit(m, eps0=0.05, nu0=0.05)
+        # eps0 = nu0 = 0: the limit clips the bin that only a target emits, so l_hi sits on its ratio
+        b = assert_one_sided_is_the_small_eps_limit(m, eps1=0.05, nu1=0.02)
         assert b.l_hi == math.inf
-        assert_matches_bisection(m, UncertaintyParams(eps0=0.05, nu0=0.05))
-        assert_matches_bisection(m, UncertaintyParams(eps1=0.05, nu1=0.02))
 
     def test_tied_nominal_ratios(self):
         m = ConditionalPmf(p0=[0.4, 0.2, 0.1, 0.2, 0.1], p1=[0.1, 0.05, 0.25, 0.1, 0.5])

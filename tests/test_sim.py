@@ -303,8 +303,8 @@ class TestTwinExperiment:
         from cascadeshare.budget import BudgetSpec
 
         app = random_app(rng, k=2, bins=3, u_scale=0.0)
-        spec = BudgetSpec(budget_mj=1e6, baseline_mj=0.1, lambda_bracket=(0.0, 1.0))
-        rows = twin_experiment(CascadeSystem(app, None, budget=spec, grid_m=41), [0.2])
+        spec = BudgetSpec(budget_mj=1e6, lambda_bracket=(0.0, 1.0))
+        rows = twin_experiment(CascadeSystem(app, None, budget=spec, baseline_mj=0.1, grid_m=41), [0.2])
         assert rows[0]["lam"] == 0.0  # generous budget: unconstrained optimum
 
     def test_configured_secondary_is_replaced_by_the_clone(self, rng):
