@@ -43,6 +43,7 @@ from .dp import (
 from .budget import (BracketFailureError, BudgetSpec, Solved, cost_from_components, expected_resource,
                      solve_lambda, solve_system)
 from .sim import (
+    _CHUNK,
     CascadeSystem,
     EnumerationCapError,
     augmented_optimum,
@@ -98,8 +99,8 @@ def _system_from_doc(doc: dict) -> CascadeSystem:
         secondary = _app_from_doc(doc["secondary"])
         if "shared" in doc["secondary"]:
             shared = tuple(_stage_from_doc(s) for s in doc["secondary"]["shared"])
-    if budget is not None:
-        baseline = float(doc["budget"].get("baseline_mJ", 0.0))  # a budget block sets the one baseline
+    if "baseline_mJ" in doc.get("budget", {}):
+        baseline = float(doc["budget"]["baseline_mJ"])  # a budget block's own baseline wins
     elif "baseline_mW" in doc:
         baseline = float(doc["baseline_mW"]) * float(doc.get("frame_ms", 32.0)) / 1000.0
     else:
@@ -181,7 +182,8 @@ def _numpy_item(obj):
 
 
 def _write_json(path: Path, doc) -> None:
-    """`doc` as strict JSON; only a document with a non-finite float is walked by `_jsonable` first."""
+    """`doc` as strict JSON, parent made if missing; only a document with a non-finite float is walked first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_numpy_item)
     except ValueError:
@@ -211,13 +213,17 @@ def _csv_fields(column) -> list[str]:
     return [_csv_field(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """`header` and the rows of `columns`, lists of fields, in one write."""
-    # joined from the fields and separators themselves, so no per-row string is built
-    ends = [repeat(",")] * (len(columns) - 1) + [repeat("\n")]
-    cells = chain.from_iterable(zip(*chain.from_iterable(zip(columns, ends))))
-    text = "".join(chain([",".join(map(_csv_field, header)), "\n"], cells))
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """`header`, then each block (one column of fields per name) as it is yielded; parent made if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    ends = [repeat(",")] * (len(header) - 1) + [repeat("\n")]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(map(_csv_field, header)) + "\n")
+        for columns in blocks:
+            if len(columns) != len(header) or isinstance(columns[0], str):
+                raise TypeError(f"{path.name}: a block is a list of {len(header)} field columns")
+            # joined from the fields and separators themselves, so no per-row string is built
+            fh.write("".join(chain.from_iterable(zip(*chain.from_iterable(zip(columns, ends))))))
 
 
 def policy_to_json(solved: Solved) -> dict:
@@ -245,7 +251,6 @@ def policy_to_json(solved: Solved) -> dict:
 
 
 def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "policy.json", policy_to_json(solved))
     models_doc = {"primary": [stage_model_to_json(s) for s in solved.app1.stages]}
     if solved.app2 is not None:
@@ -256,7 +261,7 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
     pr = solved.primary
     pi = _csv_fields(pr.grid.points)
     for i in range(pr.values.shape[0]):
-        _write_csv(out_dir / f"values_stage_{i}.csv", ["pi", "value"], [pi, _csv_fields(pr.values[i])])
+        _write_csv(out_dir / f"values_stage_{i}.csv", ["pi", "value"], [[pi, _csv_fields(pr.values[i])]])
     if solved.secondary is not None:
         sr = solved.secondary
         pi2, pi1 = _csv_fields(sr.grid2.points), _csv_fields(sr.grid1.points)
@@ -265,20 +270,19 @@ def emit_optimize_artifacts(solved: Solved, out_dir: Path) -> None:
         pi2_col, pi1_col = [a for a in pi2 for _ in pi1], pi1 * len(pi2)
         for i in range(sr.solo.values.shape[0]):
             _write_csv(out_dir / f"values2_without_stage_{i}.csv", ["pi2", "value"],
-                       [pi2, _csv_fields(sr.solo.values[i])])
+                       [[pi2, _csv_fields(sr.solo.values[i])]])
             _write_csv(out_dir / f"values2_with_stage_{i}.csv", ["pi2", "pi1", "value"],
-                       [pi2_col, pi1_col, _csv_fields(sr.with_values[i].ravel())])
+                       [[pi2_col, pi1_col, _csv_fields(sr.with_values[i].ravel())]])
     _write_json(out_dir / "budget.json", solved.to_json())
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     solved = solve_system(_run_config(args))
     emit_optimize_artifacts(solved, Path(args.out_dir))
-    print(json.dumps({"status": "ok", "lambda": solved.lam, "out_dir": args.out_dir}))
-    return EXIT_OK
+    return {"status": "ok", "lambda": solved.lam, "out_dir": args.out_dir}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     system = _run_config(args)
     if system.trials < 1:
         raise ConfigError("need at least one trial")
@@ -290,7 +294,6 @@ def _cmd_simulate(args) -> int:
         no_sharing=args.no_sharing,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "n_trials": report.n_trials,
         "seed": report.seed,
@@ -302,29 +305,27 @@ def _cmd_simulate(args) -> int:
     }
     _write_json(out_dir / "report.json", doc)
     if args.dump_trials:
-        n = report.n_trials
-        columns = [[""] * n if c is None else _csv_fields(c) for c in report.trials.values()]
-        _write_csv(out_dir / "trials.csv", ["trial", *report.trials], [list(map(str, range(n))), *columns])
-    print(json.dumps({"status": "ok", "risk1": report.primary.risk_mean}))
-    return EXIT_OK
+        rows, columns = range(report.n_trials), report.trials.values()
+        # `_CHUNK` rows per block, each formatted only when `_write_csv` takes it
+        blocks = ([list(map(str, rows[lo:lo + _CHUNK])), *([""] * len(rows[lo:lo + _CHUNK]) if c is None
+                   else _csv_fields(c[lo:lo + _CHUNK]) for c in columns)] for lo in rows[::_CHUNK])
+        _write_csv(out_dir / "trials.csv", ["trial", *report.trials], blocks)
+    return {"status": "ok", "risk1": report.primary.risk_mean}
 
 
-def _cmd_twin(args) -> int:
+def _cmd_twin(args) -> dict:
     system = _run_config(args)
     rows = twin_experiment(system, _priors(args, system), trials=0 if args.trials is None else system.trials,
                            seed=system.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"rows": rows})
     header = list(rows[0].keys())
-    _write_csv(out_dir / "twin.csv", header, [_csv_fields([r[k] for r in rows]) for k in header])
-    print(json.dumps({"status": "ok", "rows": len(rows)}))
-    return EXIT_OK
+    _write_csv(out_dir / "twin.csv", header, [[_csv_fields([r[k] for r in rows]) for k in header]])
+    return {"status": "ok", "rows": len(rows)}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> dict:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path in args.scores:
         scores, labels = [], []
         try:
@@ -340,11 +341,10 @@ def _cmd_estimate(args) -> int:
         model, edges = estimate_pmf(scores, labels, args.bins)
         doc = pmf_to_json(model, edges)
         _write_json(out_dir / (Path(path).stem + "_pmf.json"), doc)
-    print(json.dumps({"status": "ok", "files": len(args.scores)}))
-    return EXIT_OK
+    return {"status": "ok", "files": len(args.scores)}
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     solved = solve_system(_run_config(args))
     doc = {"lambda": solved.lam}
     doc["cascade_optimality_primary"] = cascade_optimality_primary(solved.primary, solved.app1)
@@ -361,14 +361,11 @@ def _cmd_check(args) -> int:
             "augmented_optimum": aug["total_risk"],
             "improves": bool(aug["total_risk"] < base["total_risk"] - 1e-12),
         }
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "check.json", doc)
-    print(json.dumps(_jsonable(doc)))  # strict JSON, as in the file
-    return EXIT_OK
+    _write_json(Path(args.out_dir) / "check.json", doc)
+    return doc
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     system = _run_config(args)
     rows = []
     for p in _priors(args, system):
@@ -387,12 +384,9 @@ def _cmd_sweep(args) -> int:
                 risk2=b2.total, E2_mJ=e2,
             )
         rows.append(row)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0].keys())
-    _write_csv(out_dir / "sweep.csv", header, [_csv_fields([r[k] for r in rows]) for k in header])
-    print(json.dumps({"status": "ok", "rows": len(rows)}))
-    return EXIT_OK
+    _write_csv(Path(args.out_dir) / "sweep.csv", header, [[_csv_fields([r[k] for r in rows]) for k in header]])
+    return {"status": "ok", "rows": len(rows)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,10 +450,11 @@ def _fail(code: int, name: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its status document, as strict JSON, on one stdout line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config_error", exc)
     except DegenerateUncertaintyError as exc:
@@ -470,6 +465,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_BRACKET, "bracket_failure", exc)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config_error", exc)
+    print(json.dumps(_jsonable(status)))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -111,6 +111,18 @@ class RiskBreakdown:
         return self.miss + self.false_alarm
 
 
+def belief_step(model: ConditionalPmf, beliefs: np.ndarray):
+    """One feature's Bayes step from each belief: (next beliefs, evidence), both beliefs x support bins.
+
+    Entry (m, y) of the first is the posterior after support bin y at belief
+    `beliefs[m]`; of the second, that bin's evidence mixture
+    p1[y] * pi + p0[y] * (1 - pi).
+    """
+    support = model.support()
+    evidence = beliefs[:, None] * model.p1[support][None, :] + (1.0 - beliefs)[:, None] * model.p0[support][None, :]
+    return posterior_update_array(beliefs[:, None], likelihood_ratios(model)[support][None, :]), evidence
+
+
 class _Transition:
     """Belief transition of one feature on one grid, as one M x M operator.
 
@@ -131,12 +143,9 @@ class _Transition:
     __slots__ = ("matrix",)
 
     def __init__(self, grid: Grid, model: ConditionalPmf):
-        support = model.support()
-        ratios = likelihood_ratios(model)[support]
-        g = grid.points
         m = grid.m
-        evidence = g[:, None] * model.p1[support][None, :] + (1.0 - g)[:, None] * model.p0[support][None, :]
-        idx, w_hi = grid.bracket(posterior_update_array(g[:, None], ratios[None, :]))
+        nxt, evidence = belief_step(model, grid.points)
+        idx, w_hi = grid.bracket(nxt)
         flat = (idx + m * np.arange(m)[:, None]).ravel()
         cells = np.concatenate([flat, flat + 1])
         weights = np.concatenate([(evidence * (1.0 - w_hi)).ravel(), (evidence * w_hi).ravel()])

@@ -33,6 +33,7 @@ from .dp import (
     STOP,
     USE_OWN,
     USE_SHARED,
+    belief_step,
     forward_primary,
     forward_secondary,
     optimize_primary,
@@ -156,31 +157,22 @@ def _check_pairing(primary: AppConfig, secondary: Optional[AppConfig], shared, c
 # reachable-belief closures (exact grids for oracle comparisons)
 # ---------------------------------------------------------------------------
 
-def _reachable(prior: float, stage_ratios) -> list[np.ndarray]:
+def _reachable(prior: float, stage_models) -> list[np.ndarray]:
+    """Distinct beliefs reachable after each stage (index 0 = prior only), from any of the stage's models."""
     sets = [np.array([prior])]
-    for ratios in stage_ratios:
-        ratios = ratios[~np.isnan(ratios)]
-        sets.append(np.unique(posterior_update_array(sets[-1][:, None], ratios[None, :]).ravel()))
+    for models in stage_models:
+        sets.append(np.unique(np.concatenate([belief_step(m, sets[-1])[0].ravel() for m in models])))
     return sets
 
 
-def reachable_beliefs_primary(app: AppConfig) -> list[np.ndarray]:
-    """Distinct beliefs reachable after each stage (index 0 = prior only)."""
-    return _reachable(app.prior, [likelihood_ratios(s.effective) for s in app.stages])
-
-
-def reachable_beliefs_secondary(app2: AppConfig, shared: Sequence[StageModel]) -> list[np.ndarray]:
-    """Same closure, allowing either the own or the shared feature per stage."""
-    return _reachable(app2.prior, [np.concatenate([likelihood_ratios(own.effective), likelihood_ratios(sh.effective)])
-                                   for own, sh in zip(app2.stages, shared)])
-
-
 def exact_grid_primary(app: AppConfig) -> Grid:
-    return Grid.from_points(np.concatenate(reachable_beliefs_primary(app)))
+    return Grid.from_points(np.concatenate(_reachable(app.prior, [(s.effective,) for s in app.stages])))
 
 
 def exact_grid_secondary(app2: AppConfig, shared) -> Grid:
-    return Grid.from_points(np.concatenate(reachable_beliefs_secondary(app2, shared)))
+    """The secondary's closure: either its own or the shared feature at each stage."""
+    models = [(own.effective, sh.effective) for own, sh in zip(app2.stages, shared)]
+    return Grid.from_points(np.concatenate(_reachable(app2.prior, models)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +185,7 @@ def _observe(pis: np.ndarray, qs: np.ndarray, model: ConditionalPmf):
     Probabilities are taken under the design measure: the evidence mixture
     of the model actually used, weighted by the node's belief.
     """
-    sup = model.support()
-    p0, p1 = model.p0[sup], model.p1[sup]
-    ev = pis[:, None] * p1[None, :] + (1.0 - pis)[:, None] * p0[None, :]
-    nxt = posterior_update_array(pis[:, None], likelihood_ratios(model)[sup][None, :])
+    nxt, ev = belief_step(model, pis)
     return nxt.ravel(), (qs[:, None] * ev).ravel()
 
 
@@ -218,12 +207,12 @@ def _threshold_candidates(beliefs: np.ndarray) -> np.ndarray:
 
 
 def _primary_policy_count(app: AppConfig, augmented: bool) -> int:
-    sets = reachable_beliefs_primary(app)
+    sets = _reachable(app.prior, [(s.effective,) for s in app.stages])
     count = 1
     for i in range(1, app.k):
-        c = np.unique(sets[i]).size + 1
+        c = sets[i].size + 1
         count *= (c * (c + 1)) // 2 if augmented else c
-    count *= np.unique(sets[app.k]).size + 1
+    count *= sets[app.k].size + 1
     return count
 
 

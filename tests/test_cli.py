@@ -99,6 +99,29 @@ class TestSimulate:
         assert {"trial", "x1", "x2", "actions1", "actions2", "xhat1", "xhat2",
                 "stop_stage1", "stop_stage2", "energy_mJ"} == set(rows[0])
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+    def test_dump_adds_little_memory(self, tmp_path):
+        """`trials.csv` is formatted and written one block of rows at a time, so at four simulation
+        chunks the dump adds under 24 MB to the run's peak RSS (the whole-file writer added 74 MB)."""
+        from cascadeshare.sim import _CHUNK
+
+        # a fresh process runs the command as its only child and reports that child's peak RSS
+        probe = ("import resource, subprocess, sys; code = subprocess.run(sys.argv[1:]).returncode; "
+                 "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        peaks = []
+        for extra in ((), ("--dump-trials",)):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, sys.executable, "-m", "cascadeshare.cli", "simulate",
+                 "--config", str(CONFIG), "--trials", str(4 * _CHUNK), "--seed", "7", *extra,
+                 "--out-dir", str(tmp_path / f"out{len(extra)}")],
+                capture_output=True, text=True, cwd=REPO,
+            )
+            code, peak_kib = proc.stdout.splitlines()[-1].split()
+            assert code == "0", proc.stderr
+            peaks.append(int(peak_kib) / 1024)
+        assert (tmp_path / "out1" / "trials.csv").stat().st_size > 0
+        assert peaks[1] - peaks[0] < 24.0, peaks
+
     # on gcw the shared run's secondary pays for no feature; --no-sharing makes it pay
     @pytest.mark.parametrize("primary_only, extra", [(False, ()), (False, ("--no-sharing",)), (True, ())])
     def test_trials_agree_with_report(self, tmp_path, primary_only, extra):
@@ -318,6 +341,63 @@ class TestBudgetOverride:
         assert json.loads(proc.stderr)["error"] == "config_error"
 
 
+class TestStatusLine:
+    """Each command returns its status document without printing it, and `cli.main` prints it
+    once, as one line of strict JSON: `check`'s document or a status object."""
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "twin", "estimate", "check", "sweep"])
+    def test_per_command(self, capsys, tmp_path, command):
+        from cascadeshare import cli
+
+        out = tmp_path / "out"
+        if command == "estimate":
+            stream = tmp_path / "scores.csv"
+            stream.write_text("score,label\n0.1,0\n0.9,1\n0.2,0\n0.8,1\n")
+            argv = [command, str(stream), "--bins", "2", "--out-dir", str(out)]
+        else:
+            extra = ["--trials", "2000", "--seed", "7"] if command == "simulate" else []
+            argv = [command, "--config", str(CONFIG), *extra, "--out-dir", str(out)]
+        args = cli.build_parser().parse_args(argv)
+        status = args.func(args)
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == 0
+        line = capsys.readouterr().out
+        if command == "check":
+            assert cli._jsonable(status) == json.loads((out / "check.json").read_text())
+            assert line == json.dumps(cli._jsonable(status)) + "\n"
+            return
+        if command == "simulate":
+            expected = {"risk1": json.loads((out / "report.json").read_text())["primary"]["risk_mean"]}
+        else:
+            expected = {"optimize": {"lambda": 0.0043, "out_dir": str(out)}, "estimate": {"files": 1},
+                        "twin": {"rows": 4}, "sweep": {"rows": 4}}[command]
+        expected = {"status": "ok", **expected}
+        assert status == expected
+        assert line == json.dumps(expected) + "\n"
+
+
+class TestBudgetBlockBaseline:
+    """A budget block without `baseline_mJ` keeps the baseline that the config's top-level keys set,
+    as a `--budget-mJ` override does."""
+
+    @pytest.mark.parametrize("edit, baseline", [
+        (lambda doc: None, 3.6 * 32.0 / 1000.0),
+        (lambda doc: doc["budget"].update(baseline_mJ=0.5), 0.5),
+        (lambda doc: (doc.pop("baseline_mW"), doc.update(baseline_mJ=0.25)), 0.25),
+    ], ids=["baseline_mW", "block_baseline_mJ", "top_level_baseline_mJ"])
+    def test_baseline(self, tmp_path, edit, baseline):
+        from cascadeshare.cli import load_config
+
+        doc = json.loads(CONFIG.read_text())
+        assert (doc["baseline_mW"], doc["frame_ms"]) == (3.6, 32.0)
+        del doc["lambda"]
+        doc["budget"] = {"budget_mJ": 48.0}
+        edit(doc)
+        config = tmp_path / "budget.json"
+        config.write_text(json.dumps(doc))
+        assert load_config(str(config)).baseline_mj == baseline
+
+
 class TestRobustifyOnce:
     """Each config-reading command robustifies each of the system's stage sets once."""
 
@@ -484,9 +564,19 @@ class TestCsvWriter:
         cells = floats + others
         rows = [tuple(cells[(i + j) % len(cells)] for j in range(3)) for i in range(len(cells))]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        _write_csv(got, header, [_csv_fields(list(column)) for column in zip(*rows)])
+        _write_csv(got, header, [[_csv_fields(list(column)) for column in zip(*rows)]])
         _reference_csv(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+    # no rows, and as many rows as columns, so that each column has a block's length
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_columns_passed_as_blocks_are_refused(self, tmp_path, rows):
+        """A list of columns where a list of blocks belongs is an error, not a header-only file."""
+        from cascadeshare.cli import _csv_fields, _write_csv
+
+        columns = [_csv_fields([float(i) for i in range(rows)]) for _ in range(3)]
+        with pytest.raises(TypeError, match="block"):
+            _write_csv(tmp_path / "got.csv", ["a", "b", "c"], columns)
 
     def test_float_arrays_keep_signed_zeros_apart(self, tmp_path):
         import numpy as np
@@ -534,7 +624,7 @@ class TestCsvWriter:
             columns = self._columns(data.draw, n)
             header = data.draw(st.permutations(sorted(columns)))
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            _write_csv(got, header, [_csv_fields(columns[h]) for h in header])
+            _write_csv(got, header, [[_csv_fields(columns[h]) for h in header]])
             _reference_csv(want, header, _rows([columns[h] for h in header]))
             assert got.read_bytes() == want.read_bytes()
 
@@ -617,6 +707,18 @@ class TestArtifactsMatchRowWriter:
         _reference_csv(tmp_path / "want.csv", ["trial", *report.trials], zip(range(n), *columns))
         assert (tmp_path / "out" / "trials.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_trials_in_blocks_of_any_size(self, tmp_path, capsys, monkeypatch):
+        """`trials.csv` has the same bytes whether it is written in one block or in several."""
+        from cascadeshare import cli
+
+        argv = ["simulate", "--config", str(CONFIG), "--trials", "3000", "--seed", "4", "--dump-trials"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(cli, "_CHUNK", 700)  # five blocks, the last one short
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "five")]) == 0
+        capsys.readouterr()
+        one, five = ((tmp_path / d / "trials.csv").read_bytes() for d in ("one", "five"))
+        assert five == one and one.count(b"\n") == 3001
+
 
 class TestJsonWriter:
     """`cli._write_json` writes the bytes of the writer that walked every document with `_jsonable`."""
@@ -654,6 +756,13 @@ class TestEstimate:
         assert doc["bins"] == 5
         assert len(doc["edges"]) == 6
         assert abs(sum(doc["p0"]) - 1.0) < 1e-10
+
+    def test_unreadable_first_file_makes_no_out_dir(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("estimate", str(tmp_path / "missing.csv"), "--out-dir", str(out))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "config_error"
+        assert not out.exists()
 
     def test_bad_header_is_config_error(self, tmp_path):
         stream = tmp_path / "bad.csv"

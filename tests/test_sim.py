@@ -338,7 +338,7 @@ class TestExecutedRuleIsTheDesign:
         for app, result in ((solved.app1, solved.primary), (solved.app2, solved.secondary.solo)):
             points = result.grid.points
             guide = sim._Guide(points)
-            reachable = sim.reachable_beliefs_primary(app)
+            reachable = sim._reachable(app.prior, [(s.effective,) for s in app.stages])
             for i in range(1, result.k + 1):
                 stored = result.continue_mask[i - 1] if i < result.k else result.declare_mask
                 hi = np.clip(np.searchsorted(points, reachable[i]), 1, points.size - 1)
